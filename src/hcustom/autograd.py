@@ -377,51 +377,70 @@ def layer_norm(x, gamma, beta, eps=1e-5):
 # convolution ops (NHWC layout)
 
 
+def _pad_hw(x, ph, pw):
+    """Zero-pad the two spatial axes of [N,H,W,C] by ph rows and pw columns."""
+    if not (ph or pw):
+        return x
+    n, h, w, c = x.shape
+    out = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=x.dtype)
+    out[:, ph:ph + h, pw:pw + w] = x
+    return out
+
+
+def _im2col(xp, kh, kw, stride, ho, wo):
+    """Rows of kh x kw windows of padded [N,Hp,Wp,C]: [N*ho*wo, kh*kw*C].
+
+    Each row holds one window, tap-major and channel-minor, which matches
+    the layout of a [kh,kw,C,Co] kernel reshaped to [kh*kw*C, Co].
+    """
+    n, c = xp.shape[0], xp.shape[3]
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    win = win[:, :stride * ho:stride, :stride * wo:stride]   # [N,ho,wo,C,kh,kw]
+    return win.transpose(0, 1, 2, 4, 5, 3).reshape(n * ho * wo, kh * kw * c)
+
+
 def conv2d(x, w, b=None, stride=1, pad=0):
-    """2D convolution; x [N,H,W,Ci], w [kh,kw,Ci,Co], b [Co]."""
+    """2D convolution; x [N,H,W,Ci], w [kh,kw,Ci,Co], b [Co].
+
+    At stride 1 the input gradient is itself a convolution: the output
+    gradient, zero-padded by k-1-pad, convolved with the spatially flipped
+    kernel whose Ci and Co axes are swapped (the transposed convolution).
+    Other strides scatter the column gradient back one kernel tap at a time.
+    The input gradient is skipped when x does not require one.
+    """
     xd, wd = x.data, w.data
     n, h, wdt, ci = xd.shape
     kh, kw, _, co = wd.shape
-    if pad:
-        xp = np.pad(xd, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-    else:
-        xp = xd
-    hp, wp = xp.shape[1], xp.shape[2]
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    win = win[:, ::stride, ::stride]                    # [N,Ho,Wo,Ci,kh,kw]
-    cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(n * ho * wo, kh * kw * ci)
+    xp = _pad_hw(xd, pad, pad)
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (wdt + 2 * pad - kw) // stride + 1
+    cols = _im2col(xp, kh, kw, stride, ho, wo)
     wf = wd.reshape(kh * kw * ci, co)
     out = cols @ wf
     if b is not None:
-        out = out + b.data
+        out += b.data
     data = out.reshape(n, ho, wo, co)
 
     def vjp(g):
         gf = g.reshape(n * ho * wo, co)
         gw = (cols.T @ gf).reshape(wd.shape)
         gb = gf.sum(axis=0) if b is not None else None
-        gcols = (gf @ wf.T).reshape(n, ho, wo, kh, kw, ci)
-        gxp = np.zeros_like(xp)
-        for i in range(kh):
-            for j in range(kw):
-                gxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride, :] += gcols[:, :, :, i, j, :]
-        gx = gxp[:, pad:pad + h, pad:pad + wdt, :] if pad else gxp
+        if not x.requires_grad:
+            gx = None
+        elif stride == 1 and pad < min(kh, kw):
+            gp = _pad_hw(g, kh - 1 - pad, kw - 1 - pad)
+            wt = wd[::-1, ::-1].transpose(0, 1, 3, 2).reshape(kh * kw * co, ci)
+            gx = (_im2col(gp, kh, kw, 1, h, wdt) @ wt).reshape(n, h, wdt, ci)
+        else:
+            gcols = (gf @ wf.T).reshape(n, ho, wo, kh, kw, ci)
+            gxp = np.zeros_like(xp)
+            for i in range(kh):
+                for j in range(kw):
+                    gxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride, :] += gcols[:, :, :, i, j, :]
+            gx = gxp[:, pad:pad + h, pad:pad + wdt, :] if pad else gxp
         if b is not None:
             return gx, gw, gb
         return gx, gw
 
     parents = (x, w, b) if b is not None else (x, w)
     return _make(data, parents, vjp)
-
-
-def upsample2x(x):
-    """Nearest-neighbour 2x spatial upsampling of [N,H,W,C]."""
-    n, h, w, c = x.data.shape
-    data = x.data.repeat(2, axis=1).repeat(2, axis=2)
-
-    def vjp(g):
-        return (g.reshape(n, h, 2, w, 2, c).sum(axis=(2, 4)),)
-
-    return _make(data, (x,), vjp)

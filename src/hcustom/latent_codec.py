@@ -14,6 +14,16 @@ un-patch of each frame's features to its conv output.  The conv path alone
 learns low spatial frequencies first and, at desk-scale step budgets, turns
 small sprites into round blobs; the linear path gives sharp edges from the
 first steps.
+
+Each decoder stage is a nearest 2x upsample followed by a 3x3 conv, computed
+at input resolution (sub-pixel convolution, as in ESPCN).  Along one axis,
+output 2y sees upsampled inputs 2y-1, 2y, 2y+1, that is x[y-1], x[y], x[y],
+so its taps collapse to the 2-tap kernel [w0, w1+w2] over x[y-1..y]; output
+2y+1 sees x[y], x[y], x[y+1] and gets [w0+w1, w2] over x[y..y+1].  The four
+row/column phase combinations are four 2x2 convs of the low-resolution
+input, interleaved by depth-to-space (`_upsample_conv`).  The function and
+the 3x3 parameters are those of upsample-then-conv; the convs do under half
+the multiply-adds and the 4x-larger upsampled input is never built.
 """
 
 from __future__ import annotations
@@ -247,9 +257,7 @@ class LatentCodec:
             feats.append(ag.reshape(group, ((f - 1) * TEMPORAL_STRIDE, h, w, cs)))
         x = feats = ag.concat(feats, axis=0)
         for i in range(len(self._decoder_channels())):
-            x = ag.upsample2x(x)
-            x = ag.conv2d(x, self.store[f"dec.conv{i}.w"], self.store[f"dec.conv{i}.b"],
-                          stride=1, pad=1)
+            x = _upsample_conv(x, self.store[f"dec.conv{i}.w"], self.store[f"dec.conv{i}.b"])
             x = ag.gelu(x)
         x = ag.conv2d(x, self.store["dec.out.w"], self.store["dec.out.b"],
                       stride=1, pad=1)
@@ -302,6 +310,32 @@ def _depth_to_space(x: ag.Tensor, s: int) -> ag.Tensor:
     x = ag.reshape(x, (n, h, w, s, s, d // (s * s)))
     x = ag.transpose(x, (0, 1, 3, 2, 4, 5))
     return ag.reshape(x, (n, h * s, w * s, d // (s * s)))
+
+
+def _phase_taps(w: ag.Tensor, axis: int) -> list[ag.Tensor]:
+    """The two 2-tap kernels a 3-tap kernel becomes along `axis` after a
+    nearest 2x upsample: [w0, w1+w2] for even outputs, [w0+w1, w2] for odd."""
+    w0, w1, w2 = (ag.slice_axis(w, axis, i, i + 1) for i in range(3))
+    return [ag.concat([w0, ag.add(w1, w2)], axis=axis),
+            ag.concat([ag.add(w0, w1), w2], axis=axis)]
+
+
+def _upsample_conv(x: ag.Tensor, w: ag.Tensor, b: ag.Tensor) -> ag.Tensor:
+    """Nearest 2x upsample then 3x3 stride-1 pad-1 conv, at input resolution.
+
+    Output pixel (2y+a, 2x+c) depends only on input rows y-1+a..y+a and
+    columns x-1+c..x+c, so each of the four phases (a, c) is a 2x2 conv of
+    x with pad 1; its output rows a:a+h and columns c:c+w are that phase.
+    The phases are interleaved back to [n, 2h, 2w, Co] by depth-to-space.
+    """
+    _, h, wd, _ = x.shape
+    phases = []
+    for a, wa in enumerate(_phase_taps(w, 0)):
+        for c, k in enumerate(_phase_taps(wa, 1)):
+            y = ag.conv2d(x, k, b, stride=1, pad=1)
+            y = ag.slice_axis(ag.slice_axis(y, 1, a, a + h), 2, c, c + wd)
+            phases.append(y)
+    return _depth_to_space(ag.concat(phases, axis=3), 2)
 
 
 def encode(video: PixelVideo, codec: LatentCodec) -> LatentVideo:

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
-lines; the heavy training criteria (7, 8) share session-scoped runs and
-dominate the runtime.
+lines; the heavy training criteria (7, 8) share session-scoped runs,
+dominate the runtime and carry the `slow` marker (`pytest -m "not slow"`
+skips them).
 """
 
 import dataclasses
@@ -223,6 +224,7 @@ def test_criterion_6_efficiency_token_count():
     report(6, ok, "token count with add-mode video conditioning == without")
 
 
+@pytest.mark.slow
 def test_criterion_7_overfit_run(overfit_run):
     losses = overfit_run["losses"]
     init = float(np.mean(losses[:10]))
@@ -236,6 +238,7 @@ def test_criterion_7_overfit_run(overfit_run):
            f"id_consistency {rep.face_sim:.3f}, wall {wall:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_8a_identity_enhancement_direction(identity_ablation_eval):
     with_rep, with_ff = identity_ablation_eval["base"]
     without_rep, _ = identity_ablation_eval["no_identity"]
@@ -248,6 +251,7 @@ def test_criterion_8a_identity_enhancement_direction(identity_ablation_eval):
     report(8, ok, "(a) identity enhancement: " + detail)
 
 
+@pytest.mark.slow
 def test_criterion_8b_channel_concat_first_frame(identity_ablation_eval):
     _, with_ff = identity_ablation_eval["base"]
     _, chan_ff = identity_ablation_eval["channel_concat"]
@@ -255,6 +259,7 @@ def test_criterion_8b_channel_concat_first_frame(identity_ablation_eval):
     report(8, ok, f"(b) first-frame error channel {chan_ff:.4f} > temporal {with_ff:.4f}")
 
 
+@pytest.mark.slow
 def test_criterion_8c_video_injection_background(video_ablation_runs):
     runs = video_ablation_runs
     errors = {}

@@ -103,16 +103,40 @@ def test_layer_norm():
              atol=1e-6)
 
 
-@pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1)])
-def test_conv2d(stride, pad):
+@pytest.mark.parametrize("x_shape,k_shape,stride,pad", [
+    pytest.param((2, 6, 6, 3), (3, 3), 1, 0, id="1-0"),
+    pytest.param((2, 6, 6, 3), (3, 3), 1, 1, id="1-1"),
+    pytest.param((2, 6, 6, 3), (3, 3), 2, 1, id="2-1"),
+    pytest.param((2, 4, 5, 3), (2, 2), 1, 1, id="k2-pad1"),
+    pytest.param((1, 5, 7, 2), (3, 3), 1, 1, id="non-square"),
+    pytest.param((1, 4, 6, 2), (2, 3), 1, 1, id="non-square-kernel"),
+    pytest.param((1, 7, 6, 2), (3, 3), 2, 0, id="2-0-ragged"),
+    pytest.param((1, 3, 4, 2), (2, 2), 1, 2, id="pad-exceeds-kernel"),
+])
+def test_conv2d(x_shape, k_shape, stride, pad):
     check_op(lambda x, w, b: ag.conv2d(x, w, b, stride=stride, pad=pad),
-             [rng.normal(size=(2, 6, 6, 3)), rng.normal(size=(3, 3, 3, 4)),
+             [rng.normal(size=x_shape), rng.normal(size=(*k_shape, x_shape[3], 4)),
               rng.normal(size=(4,))],
              atol=1e-6)
 
 
-def test_upsample2x():
-    check_op(ag.upsample2x, [rng.normal(size=(2, 3, 3, 2))])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv2d_skips_input_gradient_when_not_required(stride):
+    x = rng.normal(size=(2, 5, 6, 3))
+    w, b = rng.normal(size=(3, 3, 3, 4)), rng.normal(size=(4,))
+    wt, bt = ag.Tensor(w, requires_grad=True), ag.Tensor(b, requires_grad=True)
+    xt = ag.Tensor(x)
+    out = ag.conv2d(xt, wt, bt, stride=stride, pad=1)
+    assert out._vjp(np.ones_like(out.data))[0] is None
+    ag.sum_(ag.mul(out, out)).backward()
+    assert xt.grad is None
+
+    def scalar():
+        return float((ag.conv2d(ag.Tensor(x), ag.Tensor(w), ag.Tensor(b),
+                                stride=stride, pad=1).data ** 2).sum())
+
+    np.testing.assert_allclose(wt.grad, fd_grad(scalar, w), atol=1e-6, rtol=1e-5)
+    np.testing.assert_allclose(bt.grad, fd_grad(scalar, b), atol=1e-6, rtol=1e-5)
 
 
 def test_no_grad_graph_is_pruned():

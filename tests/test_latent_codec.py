@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from hcustom import autograd as ag
 from hcustom.errors import ConfigMismatchError, DimensionMismatchError
 from hcustom.latent_codec import (CodecConfig, LatentCodec, LatentVideo,
                                   PixelVideo, latent_frame_count,
-                                  pixel_frame_count, tokenize, train_codec,
-                                  untokenize)
+                                  _upsample_conv, pixel_frame_count, tokenize,
+                                  train_codec, untokenize)
 
 rng = np.random.default_rng(3)
 
@@ -130,3 +131,54 @@ def test_short_training_reduces_loss():
                                      hidden_channels=8, seed=2))
     losses2 = train_codec(repeat, videos, steps=30, batch_size=2, seed=0)
     assert losses == losses2
+
+
+def test_upsample_conv_matches_upsample_then_conv():
+    x = rng.normal(size=(2, 5, 6, 4))
+    w, b = rng.normal(size=(3, 3, 4, 6)), rng.normal(size=(6,))
+    probe = rng.normal(size=(2, 10, 12, 6))
+    xt, wt, bt = (ag.Tensor(a, requires_grad=True) for a in (x, w, b))
+    out = _upsample_conv(xt, wt, bt)
+    ag.sum_(ag.mul(out, probe)).backward()
+
+    up = ag.Tensor(x.repeat(2, axis=1).repeat(2, axis=2), requires_grad=True)
+    wr, br = ag.Tensor(w, requires_grad=True), ag.Tensor(b, requires_grad=True)
+    ref = ag.conv2d(up, wr, br, stride=1, pad=1)
+    ag.sum_(ag.mul(ref, probe)).backward()
+    gx_ref = up.grad.reshape(2, 5, 2, 6, 2, 4).sum(axis=(2, 4))
+
+    np.testing.assert_allclose(out.data, ref.data, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(xt.grad, gx_ref, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(wt.grad, wr.grad, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(bt.grad, br.grad, rtol=0, atol=1e-10)
+
+
+def test_codec_l1_roundtrip_gradients_match_finite_differences():
+    codec = LatentCodec(CodecConfig(spatial_factor=4, latent_channels=4,
+                                    hidden_channels=4, seed=3), dtype=np.float64)
+    local = np.random.default_rng(7)
+    for name in codec.store.names():
+        p = codec.store[name]
+        p.data = p.data + 0.1 * local.normal(size=p.shape)  # no all-zero tensors
+    x = local.random((5, 8, 8, 3))
+
+    def loss_t(xt):
+        diff = ag.sub(codec.decode_t(codec.encode_t(xt)), x)
+        return ag.mean_(ag.mul(diff, np.sign(diff.data)))
+
+    xt = ag.Tensor(x.copy(), requires_grad=True)
+    codec.store.zero_grad()
+    loss_t(xt).backward()
+    targets = [(name, codec.store[name]) for name in codec.store.names()] + [("x", xt)]
+    eps = 1e-6
+    for name, t in targets:
+        flat = t.data.reshape(-1)
+        for i in local.choice(flat.size, size=min(4, flat.size), replace=False):
+            old = flat[i]
+            flat[i] = old + eps
+            hi = float(loss_t(ag.Tensor(xt.data)).data)
+            flat[i] = old - eps
+            lo = float(loss_t(ag.Tensor(xt.data)).data)
+            flat[i] = old
+            num = (hi - lo) / (2 * eps)
+            assert abs(t.grad.reshape(-1)[i] - num) <= 1e-6 + 1e-4 * abs(num), (name, i)

@@ -3,10 +3,13 @@ with the acceptance suite, so running this module alone still trains the
 small ablation models)."""
 
 import numpy as np
+import pytest
 
 from hcustom import autograd as ag
 from hcustom.flow_match import SamplerConfig, flow_loss_t, sample_flow
 from hcustom.rope3d import rotation_tables
+
+pytestmark = pytest.mark.slow
 
 
 def test_sampler_convergence_ordering(identity_ablation_runs):
