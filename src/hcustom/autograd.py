@@ -245,30 +245,40 @@ def softmax(a, axis=-1):
 
 
 def attention(q, k, v, scale):
-    """Fused scaled-dot-product attention over batched [B, L, dh] tensors.
+    """Fused softmax(scale * q k^T) v over batched q [B, L, dh], k/v [B, S, dh].
 
-    Numerically identical to matmul/softmax/matmul composition but keeps a
-    single score-sized buffer alive and computes the backward pass in one
-    routine, which matters on memory-bound CPUs.
+    Same function as the matmul/softmax/matmul composition, with fewer full
+    passes over the [B, L, S] score buffer (FlashAttention, Dao et al. 2022):
+
+    - `scale` is folded into q, so the scores are never rescaled.
+    - The weights are left unnormalised, e = exp(s - rowmax(s)), and the
+      [B, L, dh] output e v is divided by the row sums den instead.
+    - In the backward pass the softmax row term rowsum(dP * P), with
+      dP = g v^T, equals rowsum(g * out): a [B, L, dh] product, not a
+      score-sized one.  With gn = g / den the score gradient is
+      e * (gn v^T - rowsum(g * out) / den).
+
+    The backward pass keeps e (the only score-sized buffer) and den, besides
+    the inputs and the output.  The VJP never writes to g.
     """
     qd, kd, vd = q.data, k.data, v.data
-    s = qd @ np.swapaxes(kd, -1, -2)
-    s *= scale
-    s -= s.max(axis=-1, keepdims=True)
-    np.exp(s, out=s)
-    denom = s.sum(axis=-1, keepdims=True)
-    np.reciprocal(denom, out=denom)
-    s *= denom                      # s is now the softmax weights p
-    out = s @ vd
+    e = (qd * scale) @ np.swapaxes(kd, -1, -2)
+    e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    den = e.sum(axis=-1, keepdims=True)
+    out = e @ vd
+    out /= den
 
     def vjp(g):
-        gv = np.swapaxes(s, -1, -2) @ g
-        gp = g @ np.swapaxes(vd, -1, -2)
-        gp -= (gp * s).sum(axis=-1, keepdims=True)
-        gp *= s
-        gp *= scale                 # gp is now the gradient of the raw scores
-        gq = gp @ kd
-        gk = np.swapaxes(gp, -1, -2) @ qd
+        gn = g / den
+        gv = np.swapaxes(e, -1, -2) @ gn
+        gs = gn @ np.swapaxes(vd, -1, -2)
+        gs -= (g * out).sum(axis=-1, keepdims=True) / den
+        gs *= e                     # gs is now the gradient of the scaled scores
+        gq = gs @ kd
+        gq *= scale
+        gk = np.swapaxes(gs, -1, -2) @ qd
+        gk *= scale
         return gq, gk, gv
 
     return _make(out, (q, k, v), vjp)

@@ -20,10 +20,12 @@ at input resolution (sub-pixel convolution, as in ESPCN).  Along one axis,
 output 2y sees upsampled inputs 2y-1, 2y, 2y+1, that is x[y-1], x[y], x[y],
 so its taps collapse to the 2-tap kernel [w0, w1+w2] over x[y-1..y]; output
 2y+1 sees x[y], x[y], x[y+1] and gets [w0+w1, w2] over x[y..y+1].  The four
-row/column phase combinations are four 2x2 convs of the low-resolution
-input, interleaved by depth-to-space (`_upsample_conv`).  The function and
-the 3x3 parameters are those of upsample-then-conv; the convs do under half
-the multiply-adds and the 4x-larger upsampled input is never built.
+row/column phase combinations are four 2x2 kernels (`_phase_kernels`, one
+tape op) that one 2x2 conv of the low-resolution input applies as four
+blocks of output channels; the blocks are interleaved by depth-to-space
+(`_upsample_conv`).  The function and the 3x3 parameters are those of
+upsample-then-conv; the conv does under half the multiply-adds and the
+4x-larger upsampled input is never built.
 """
 
 from __future__ import annotations
@@ -312,12 +314,32 @@ def _depth_to_space(x: ag.Tensor, s: int) -> ag.Tensor:
     return ag.reshape(x, (n, h * s, w * s, d // (s * s)))
 
 
-def _phase_taps(w: ag.Tensor, axis: int) -> list[ag.Tensor]:
-    """The two 2-tap kernels a 3-tap kernel becomes along `axis` after a
-    nearest 2x upsample: [w0, w1+w2] for even outputs, [w0+w1, w2] for odd."""
-    w0, w1, w2 = (ag.slice_axis(w, axis, i, i + 1) for i in range(3))
-    return [ag.concat([w0, ag.add(w1, w2)], axis=axis),
-            ag.concat([ag.add(w0, w1), w2], axis=axis)]
+# [phase, tap of the 2-tap kernel, tap of the 3-tap kernel]: along one axis,
+# even outputs use [w0, w1+w2] and odd outputs [w0+w1, w2] (module docstring)
+_PHASE_TAPS = np.array([[[1, 0, 0], [0, 1, 1]],
+                        [[1, 1, 0], [0, 0, 1]]])
+
+
+def _phase_kernels(w: ag.Tensor) -> ag.Tensor:
+    """The four 2x2 phase kernels of a 3x3 kernel, side by side: one tape op.
+
+    w [3, 3, Ci, Co] -> [2, 2, Ci, 4*Co]; output-channel block 2a+c holds the
+    kernel of row phase a and column phase c.  Each phase tap is a sum of 3x3
+    taps, so the VJP sums each phase tap's gradient back into those taps.
+    """
+    wd = w.data
+    taps = _PHASE_TAPS.astype(wd.dtype)
+    ci, co = wd.shape[2], wd.shape[3]
+    rows = np.tensordot(taps, wd, axes=([2], [0]))        # [a, i, u, Ci, Co]
+    k = np.tensordot(taps, rows, axes=([2], [2]))         # [c, j, a, i, Ci, Co]
+    data = k.transpose(3, 1, 4, 2, 0, 5).reshape(2, 2, ci, 4 * co)
+
+    def vjp(g):
+        g = g.reshape(2, 2, ci, 2, 2, co)                 # [i, j, Ci, a, c, Co]
+        cols = np.tensordot(taps, g, axes=([0, 1], [4, 1]))   # [u, i, Ci, a, Co]
+        return (np.tensordot(taps, cols, axes=([0, 1], [3, 1])),)  # [t, u, Ci, Co]
+
+    return ag._make(data, (w,), vjp)
 
 
 def _upsample_conv(x: ag.Tensor, w: ag.Tensor, b: ag.Tensor) -> ag.Tensor:
@@ -326,16 +348,19 @@ def _upsample_conv(x: ag.Tensor, w: ag.Tensor, b: ag.Tensor) -> ag.Tensor:
     Output pixel (2y+a, 2x+c) depends only on input rows y-1+a..y+a and
     columns x-1+c..x+c, so each of the four phases (a, c) is a 2x2 conv of
     x with pad 1; its output rows a:a+h and columns c:c+w are that phase.
-    The phases are interleaved back to [n, 2h, 2w, Co] by depth-to-space.
+    One conv computes all four phases as blocks of output channels; the
+    phases are interleaved back to [n, 2h, 2w, Co] by depth-to-space.
     """
     _, h, wd, _ = x.shape
+    co = w.shape[3]
+    y = ag.conv2d(x, _phase_kernels(w), stride=1, pad=1)   # [n, h+1, wd+1, 4*Co]
     phases = []
-    for a, wa in enumerate(_phase_taps(w, 0)):
-        for c, k in enumerate(_phase_taps(wa, 1)):
-            y = ag.conv2d(x, k, b, stride=1, pad=1)
-            y = ag.slice_axis(ag.slice_axis(y, 1, a, a + h), 2, c, c + wd)
-            phases.append(y)
-    return _depth_to_space(ag.concat(phases, axis=3), 2)
+    for a in range(2):
+        for c in range(2):
+            j = 2 * a + c
+            p = ag.slice_axis(y, 3, j * co, (j + 1) * co)
+            phases.append(ag.slice_axis(ag.slice_axis(p, 1, a, a + h), 2, c, c + wd))
+    return ag.add(_depth_to_space(ag.concat(phases, axis=3), 2), b)
 
 
 def encode(video: PixelVideo, codec: LatentCodec) -> LatentVideo:

@@ -4,6 +4,14 @@ Video tokens sit at their literal grid coordinates.  Identity-image tokens
 sit at negative time indices (subject k at time -k) with their spatial
 coordinates shifted by a full grid (+w, +h), so no identity token can ever
 share a position with a video token or with another subject's tokens.
+
+Each axis segment of the head dim rotates its channels in pairs (first
+half, second half).  `rotation_tables` spreads the per-pair angles over the
+full head dim as a cos table and a signed-sin table, so a rotation is one
+rotate-half expression, x * cos + x[..., half_swap] * sin (RoFormer, Su et
+al. 2021).  `apply_rotation` (taped, [L, heads, head_dim]) and `rotate`
+(one vector) both compute it; the VJP is the rotation by the negated
+angles.
 """
 
 from __future__ import annotations
@@ -63,10 +71,51 @@ def _pair_angles(positions: np.ndarray, config: RopeConfig) -> np.ndarray:
     return np.concatenate(chunks, axis=1)
 
 
+def _channel_layout(config: RopeConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per channel: its pair index, the sign of its sin term, and its partner.
+
+    Within an axis segment of size d_a, channel i < d_a/2 pairs with channel
+    i + d_a/2 (first half u, second half v), and the pair rotates as
+    u' = u cos - v sin, v' = v cos + u sin.
+    """
+    pair, sign, swap = [], [], []
+    offset = first = 0
+    for da in config.resolved_axis_dims():
+        half = da // 2
+        pairs = np.arange(first, first + half)
+        lo = np.arange(offset, offset + half)
+        pair += [pairs, pairs]
+        sign += [np.full(half, -1.0), np.full(half, 1.0)]
+        swap += [lo + half, lo]
+        offset += da
+        first += half
+    return np.concatenate(pair), np.concatenate(sign), np.concatenate(swap)
+
+
 def rotation_tables(positions: np.ndarray, config: RopeConfig, dtype=np.float64):
-    """Per-pair cos/sin tables for a position grid: two [L, head_dim/2] arrays."""
-    ang = _pair_angles(positions, config)
-    return np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)
+    """Full-width cos and signed-sin tables for a position grid, each [L, head_dim].
+
+    Both halves of an axis segment carry their pair's cos; the first half
+    carries -sin and the second +sin, so the rotation of x is
+    x * cos + x[..., half_swap(config)] * sin.
+    """
+    pair, sign, _ = _channel_layout(config)
+    ang = _pair_angles(positions, config)[:, pair]
+    return np.cos(ang).astype(dtype), (sign * np.sin(ang)).astype(dtype)
+
+
+def half_swap(config: RopeConfig) -> np.ndarray:
+    """Channel permutation that swaps the two halves of every axis segment."""
+    return _channel_layout(config)[2]
+
+
+def _rotate_half(x: np.ndarray, cos: np.ndarray, sin: np.ndarray,
+                 swap: np.ndarray) -> np.ndarray:
+    """x * cos + x[..., swap] * sin, with tables broadcast against x."""
+    out = np.take(x, swap, axis=-1)     # x[..., swap], laid out C-contiguous
+    out *= sin
+    out += x * cos
+    return out
 
 
 def rotate(vector: np.ndarray, pos, config: RopeConfig) -> np.ndarray:
@@ -81,39 +130,18 @@ def rotate(vector: np.ndarray, pos, config: RopeConfig) -> np.ndarray:
         raise ValueError(f"expected vector of length {config.head_dim}, got {vector.shape}")
     pos = np.asarray(pos, dtype=np.int64).reshape(1, 3)
     cos, sin = rotation_tables(pos, config, dtype=vector.dtype)
-    out = np.empty_like(vector)
-    offset = 0
-    pair = 0
-    for da in config.resolved_axis_dims():
-        half = da // 2
-        u = vector[offset:offset + half]
-        v = vector[offset + half:offset + da]
-        c = cos[0, pair:pair + half]
-        s = sin[0, pair:pair + half]
-        out[offset:offset + half] = u * c - v * s
-        out[offset + half:offset + da] = u * s + v * c
-        offset += da
-        pair += half
-    return out
+    return _rotate_half(vector, cos[0], sin[0], half_swap(config))
 
 
 def apply_rotation(x: ag.Tensor, cos: np.ndarray, sin: np.ndarray,
                    config: RopeConfig) -> ag.Tensor:
     """Rotate taped activations [L, heads, head_dim] with precomputed tables.
 
-    cos/sin are [L, head_dim/2] constants; they broadcast over heads.
+    One tape op.  cos/sin are the [L, head_dim] tables of `rotation_tables`;
+    they broadcast over heads.  The rotation is linear and orthogonal, so
+    its VJP is the rotation by the negated angles: g * cos - g[..., swap] * sin.
     """
-    pieces = []
-    offset = 0
-    pair = 0
-    for da in config.resolved_axis_dims():
-        half = da // 2
-        u = ag.slice_axis(x, -1, offset, offset + half)
-        v = ag.slice_axis(x, -1, offset + half, offset + da)
-        c = cos[:, None, pair:pair + half]
-        s = sin[:, None, pair:pair + half]
-        pieces.append(ag.sub(ag.mul(u, c), ag.mul(v, s)))
-        pieces.append(ag.add(ag.mul(u, s), ag.mul(v, c)))
-        offset += da
-        pair += half
-    return ag.concat(pieces, axis=-1)
+    swap = half_swap(config)
+    c, s = cos[:, None, :], sin[:, None, :]
+    return ag._make(_rotate_half(x.data, c, s, swap), (x,),
+                    lambda g: (_rotate_half(g, c, -s, swap),))

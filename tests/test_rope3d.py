@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hcustom import autograd as ag
-from hcustom.rope3d import (RopeConfig, apply_rotation, identity_positions,
+from hcustom.rope3d import (RopeConfig, apply_rotation, half_swap, identity_positions,
                             rotate, rotation_tables, video_positions)
 
 CFG = RopeConfig(head_dim=32)
@@ -112,3 +112,26 @@ def test_apply_rotation_gradients():
     # rotation is linear: gradient equals rotation applied to ones with angles negated
     assert x.grad.shape == x.data.shape
     assert np.isfinite(x.grad).all()
+
+
+def test_apply_rotation_vjp_is_rotation_by_negated_position():
+    positions = np.concatenate([identity_positions(1, 2, 2), video_positions(2, 2, 2)])
+    cos, sin = rotation_tables(positions, CFG)
+    x = ag.Tensor(rng.normal(size=(len(positions), 3, 32)), requires_grad=True)
+    out = apply_rotation(x, cos, sin, CFG)
+    g = rng.normal(size=out.shape)
+    (gx,) = out._vjp(g)
+    for i, p in enumerate(positions):
+        for head in range(3):
+            np.testing.assert_allclose(gx[i, head], rotate(g[i, head], -p, CFG),
+                                       rtol=0, atol=1e-12)
+
+
+def test_rotation_tables_are_full_width():
+    positions = video_positions(2, 3, 2)
+    cos, sin = rotation_tables(positions, CFG, dtype=np.float32)
+    assert cos.shape == sin.shape == (len(positions), CFG.head_dim)
+    assert cos.dtype == sin.dtype == np.float32
+    # each pair's two channels share a cos and carry opposite sines
+    np.testing.assert_array_equal(cos, cos[:, half_swap(CFG)])
+    np.testing.assert_array_equal(sin, -sin[:, half_swap(CFG)])
