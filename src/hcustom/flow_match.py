@@ -85,7 +85,9 @@ def train_flow(model: CustomVideoModel, samples: list[PreparedSample], *,
 
     Every random draw comes from a per-step counter-based generator keyed on
     (seed, step), so two runs with the same arguments produce identical
-    curves and identical parameters.
+    curves and identical parameters.  `log`, if given, is called after each
+    step with the step, its loss, the wall time since the start, the global
+    gradient norm before clipping and whether clipping scaled it down.
     """
     if not samples:
         raise ValueError("dataset is empty")
@@ -108,10 +110,12 @@ def train_flow(model: CustomVideoModel, samples: list[PreparedSample], *,
             raise NumericalFailureError(f"loss became non-finite at step {step}")
         if total > DIVERGENCE_LIMIT:
             raise NumericalFailureError(f"training diverged at step {step}: loss={total}")
-        opt.step()
+        grad_norm = opt.step()
         losses.append(total)
         if log is not None:
-            log(step=step, loss=total, wall_time=time.monotonic() - t_start)
+            log(step=step, loss=total, wall_time=time.monotonic() - t_start,
+                grad_norm=grad_norm,
+                clipped=clip_norm is not None and grad_norm > clip_norm)
         if (checkpoint_cb is not None and checkpoint_every
                 and (step + 1) % checkpoint_every == 0):
             checkpoint_cb(step + 1)

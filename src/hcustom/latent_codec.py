@@ -275,7 +275,8 @@ class LatentCodec:
         if video.height % s or video.width % s:
             raise DimensionMismatchError(
                 f"frame size {video.height}x{video.width} not divisible by spatial factor {s}")
-        z = self.encode_t(ag.Tensor(video.data.astype(self.store.dtype)))
+        with ag.no_grad():
+            z = self.encode_t(ag.Tensor(video.data.astype(self.store.dtype)))
         return LatentVideo(z.data)
 
     def decode(self, latent: LatentVideo) -> PixelVideo:
@@ -283,7 +284,8 @@ class LatentCodec:
             raise ConfigMismatchError(
                 f"latent has {latent.channels} channels, codec expects "
                 f"{self.config.latent_channels}")
-        x = self.decode_t(ag.Tensor(latent.data.astype(self.store.dtype)))
+        with ag.no_grad():
+            x = self.decode_t(ag.Tensor(latent.data.astype(self.store.dtype)))
         return PixelVideo(np.clip(x.data, 0.0, 1.0))
 
     def save(self, path):

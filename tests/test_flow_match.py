@@ -5,7 +5,7 @@ from hcustom import autograd as ag
 from hcustom.audio_net import AudioInjectConfig
 from hcustom.backbone import BackboneConfig
 from hcustom.errors import NumericalFailureError
-from hcustom.flow_match import (NoiseSchedule, SamplerConfig, flow_loss_t,
+from hcustom.flow_match import (NoiseSchedule, SamplerConfig, _step_rng, flow_loss_t,
                                 interpolate, sample_flow, train_flow)
 from hcustom.latent_codec import CodecConfig, LatentCodec, PixelVideo
 from hcustom.model import (CustomVideoModel, LatentStats, ModelConfig,
@@ -133,6 +133,47 @@ def test_training_determinism_and_progress(setup):
     model = CustomVideoModel(TINY, dtype=np.float64)
     curve = train_flow(model, prepared, steps=40, batch_size=2, seed=0)
     assert min(curve[-5:]) < curve[0]
+
+
+def _grad_norm_at(model, prepared, step, seed, batch_size=2):
+    """Global gradient norm of train_flow's step `step`, recomputed from the
+    model's current parameters with that step's draws."""
+    step_rng = _step_rng(seed, step)
+    idx = step_rng.choice(len(prepared), size=min(batch_size, len(prepared)), replace=False)
+    model.store.zero_grad()
+    for i in idx:
+        ps = prepared[int(i)]
+        t = NoiseSchedule().sample_t(step_rng)
+        z0 = step_rng.standard_normal(ps.z1.shape)
+        ag.mul(flow_loss_t(model, ps, t, z0), 1.0 / len(idx)).backward()
+    grads = [p.grad for _, p in model.store.items() if p.grad is not None]
+    return float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
+
+
+def test_training_events_report_gradient_norm_and_clipping(setup):
+    prepared = setup[3]
+    events = []
+    model = CustomVideoModel(TINY, dtype=np.float64)
+    train_flow(model, prepared, steps=2, batch_size=2, seed=3,
+               log=lambda **kw: events.append(kw))
+    assert [e["step"] for e in events] == [0, 1]
+    replay = CustomVideoModel(TINY, dtype=np.float64)
+    assert events[0]["grad_norm"] == pytest.approx(_grad_norm_at(replay, prepared, 0, 3),
+                                                   rel=1e-12)
+    train_flow(replay, prepared, steps=1, batch_size=2, seed=3)
+    assert events[1]["grad_norm"] == pytest.approx(_grad_norm_at(replay, prepared, 1, 3),
+                                                   rel=1e-12)
+    for e in events:
+        assert e["clipped"] == (e["grad_norm"] > 1.0)
+
+    # the first step's norm does not depend on the threshold
+    norm = events[0]["grad_norm"]
+    for clip_norm, clipped in ((0.99 * norm, True), (1.01 * norm, False), (None, False)):
+        seen = []
+        train_flow(CustomVideoModel(TINY, dtype=np.float64), prepared, steps=1,
+                   batch_size=2, seed=3, clip_norm=clip_norm,
+                   log=lambda **kw: seen.append(kw))
+        assert seen[0]["grad_norm"] == norm and seen[0]["clipped"] is clipped
 
 
 def test_zero_steps_keeps_initialization(setup):
