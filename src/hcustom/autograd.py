@@ -8,6 +8,13 @@ float64 for gradient-fidelity tests), and the whole tape is deterministic:
 no op ever draws randomness.  The module needs only numpy: `gelu` takes the
 normal cdf from the Abramowitz & Stegun 7.1.26 erfc approximation
 (absolute error at most 1.5e-7 in erf, so 7.5e-8 in the cdf).
+
+Memory: `attention` never allocates its [B, L, S] scores.  It works on one
+tile of at most `_TILE` score elements at a time and keeps one log-sum-exp
+per row for the backward pass, which recomputes each tile.  An untaped
+`conv2d` builds its im2col columns in chunks of frames of at most `_TILE`
+elements; a taped call keeps all of them, for its VJP.  `matmul` adds a
+bias in place, so a linear layer is one tape op.
 """
 
 from __future__ import annotations
@@ -26,6 +33,10 @@ _AS_A = tuple(0.5 * c for c in (0.254829592, -0.284496736, 1.421413741,
                                 -1.453152027, 1.061405429))
 _AS_B = tuple((k - 1) * (lo - hi)
               for k, lo, hi in zip(range(1, 7), (0.0,) + _AS_A, _AS_A + (0.0,)))
+
+# Elements in one working tile: an attention score tile (see `attention`)
+# or the im2col columns of one frame chunk of an untaped `conv2d`.
+_TILE = 1 << 18
 
 
 class Tensor:
@@ -219,16 +230,40 @@ def mul(a, b):
     return _make(data, (a,), lambda g: (_unbroadcast(g * b, a.data.shape),))
 
 
-def matmul(a, b):
+def matmul(a, b, bias=None):
+    """a @ b, plus `bias` when given, as one tape op; `nn.linear` is its bias form.
+
+    The bias is added in place to the product, so the tape keeps no separate
+    product array.  With a 2-D b (a weight), the leading axes of a are
+    flattened into the rows of one matrix product, forward and backward.
+    The gradient of a is skipped when a does not require one (the input of
+    a model's first layer).
+    """
     ad, bd = a.data, b.data
-    data = ad @ bd
+    if bd.ndim == 2:
+        data = (ad.reshape(-1, ad.shape[-1]) @ bd).reshape(ad.shape[:-1] + bd.shape[-1:])
+    else:
+        data = ad @ bd
+    if bias is not None:
+        data += bias.data
 
     def vjp(g):
-        ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape)
-        gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape)
-        return ga, gb
+        ga = None
+        if bd.ndim == 2:
+            g = g.reshape(-1, bd.shape[-1])
+            if a.requires_grad:
+                ga = (g @ bd.T).reshape(ad.shape)
+            gb = ad.reshape(-1, ad.shape[-1]).T @ g
+        else:
+            if a.requires_grad:
+                ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape)
+            gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape)
+        if bias is None:
+            return ga, gb
+        return ga, gb, _unbroadcast(g, bias.data.shape)
 
-    return _make(data, (a, b), vjp)
+    parents = (a, b) if bias is None else (a, b, bias)
+    return _make(data, parents, vjp)
 
 
 def _horner(t, coefs):
@@ -286,41 +321,78 @@ def gelu(a):
     return _make(y, (a,), lambda g: (g * d,))
 
 
+def _row_blocks(rows, per_row):
+    """Near-equal slices covering range(rows), of at most max(1, _TILE // per_row) rows."""
+    count = -(-rows // max(1, _TILE // per_row))
+    step = -(-rows // count)
+    return [slice(r, min(r + step, rows)) for r in range(0, rows, step)]
+
+
 def attention(q, k, v, scale):
     """Fused softmax(scale * q k^T) v over batched q [B, L, dh], k/v [B, S, dh].
 
-    Same function as the matmul/softmax/matmul composition, with fewer full
-    passes over the [B, L, S] score buffer (FlashAttention, Dao et al. 2022):
+    Same function as the matmul/softmax/matmul composition, computed one
+    block of query rows at a time; a block holds every key, so each row's
+    softmax is exact and needs no online rescaling.  The blocks are near
+    equal, and a block's [B, rows, S] score tile has at most `_TILE`
+    elements (a block is one row if a single row is larger), so no
+    [B, L, S] array is ever allocated.  The tape keeps only the output and
+    one [B, L, 1] log-sum-exp per row (FlashAttention-2, Dao, arXiv
+    2307.08691):
 
     - `scale` is folded into q, so the scores are never rescaled.
-    - The weights are left unnormalised, e = exp(s - rowmax(s)), and the
-      [B, L, dh] output e v is divided by the row sums den instead.
-    - In the backward pass the softmax row term rowsum(dP * P), with
-      dP = g v^T, equals rowsum(g * out): a [B, L, dh] product, not a
-      score-sized one.  With gn = g / den the score gradient is
-      e * (gn v^T - rowsum(g * out) / den).
+    - Forward: e = exp(s - rowmax(s)) is left unnormalised, the tile's
+      output e v is divided by the row sums den, and the row's log-sum-exp
+      is lse = rowmax(s) + log(den).
+    - Backward: each tile is recomputed as P = exp(s - lse) (gradient
+      checkpointing, Chen et al., arXiv 1604.06174).  The softmax row term
+      rowsum(dP * P), with dP = g v^T, equals rowsum(g * out): a [B, L, dh]
+      product, not a score-sized one.  The score gradient of the tile is
+      P * (g v^T - rowsum(g * out)); gq is written block by block, and gk
+      and gv are summed over the blocks.
 
-    The backward pass keeps e (the only score-sized buffer) and den, besides
-    the inputs and the output.  The VJP never writes to g.
+    The VJP never writes to g.
     """
     qd, kd, vd = q.data, k.data, v.data
-    e = (qd * scale) @ np.swapaxes(kd, -1, -2)
-    e -= e.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    den = e.sum(axis=-1, keepdims=True)
-    out = e @ vd
-    out /= den
+    n, rows, dh = qd.shape
+    blocks = _row_blocks(rows, n * kd.shape[1])
+    qs = qd * scale
+    kt = np.ascontiguousarray(np.swapaxes(kd, -1, -2))
+    out = np.empty(qd.shape[:-1] + vd.shape[-1:], dtype=np.result_type(qd, kd, vd))
+    lse = np.empty((n, rows, 1), dtype=out.dtype)
+    for r in blocks:
+        e = qs[:, r] @ kt
+        m = e.max(axis=-1, keepdims=True)
+        e -= m
+        np.exp(e, out=e)
+        den = e.sum(axis=-1, keepdims=True)
+        o = out[:, r]
+        np.matmul(e, vd, out=o)
+        o /= den
+        np.log(den, out=den)
+        np.add(m, den, out=lse[:, r])
 
     def vjp(g):
-        gn = g / den
-        gv = np.swapaxes(e, -1, -2) @ gn
-        gs = gn @ np.swapaxes(vd, -1, -2)
-        gs -= (g * out).sum(axis=-1, keepdims=True) / den
-        gs *= e                     # gs is now the gradient of the scaled scores
-        gq = gs @ kd
+        # -lse and -rowsum(g * out) ride in one extra column of the left
+        # operands, against a row of ones in the right ones, so each tile
+        # product comes out shifted: s - lse, and g v^T - rowsum(g * out)
+        ones = np.ones((n, 1, kd.shape[1]), dtype=out.dtype)
+        qa = np.concatenate([qd * scale, -lse], axis=-1)
+        ka = np.concatenate([np.swapaxes(kd, -1, -2), ones], axis=1)
+        ga = np.concatenate([g, -(g * out).sum(axis=-1, keepdims=True)], axis=-1)
+        va = np.concatenate([np.swapaxes(vd, -1, -2), ones], axis=1)
+        gq = np.empty_like(qd)
+        gk = np.zeros_like(kd)
+        gv = np.zeros_like(vd)
+        for r in blocks:
+            p = qa[:, r] @ ka
+            np.exp(p, out=p)
+            gv += np.swapaxes(p, -1, -2) @ g[:, r]
+            gs = ga[:, r] @ va
+            gs *= p                     # gs is now the gradient of the scaled scores
+            np.matmul(gs, kd, out=gq[:, r])
+            gk += np.swapaxes(gs, -1, -2) @ qa[:, r, :dh]
         gq *= scale
-        gk = np.swapaxes(gs, -1, -2) @ qd
-        gk *= scale
         return gq, gk, gv
 
     return _make(out, (q, k, v), vjp)
@@ -459,6 +531,11 @@ def conv2d(x, w, b=None, stride=1, pad=0):
     kernel whose Ci and Co axes are swapped (the transposed convolution).
     Other strides scatter the column gradient back one kernel tap at a time.
     The input gradient is skipped when x does not require one.
+
+    Untaped (under `no_grad`, or with no input requiring a gradient), the
+    im2col columns are built one chunk of frames at a time, at most `_TILE`
+    elements each, and each chunk's product is written into its slice of
+    the output.  A taped call builds them in one piece, for its VJP.
     """
     xd, wd = x.data, w.data
     n, h, wdt, ci = xd.shape
@@ -466,12 +543,19 @@ def conv2d(x, w, b=None, stride=1, pad=0):
     xp = _pad_hw(xd, pad, pad)
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (wdt + 2 * pad - kw) // stride + 1
-    cols = _im2col(xp, kh, kw, stride, ho, wo)
     wf = wd.reshape(kh * kw * ci, co)
-    out = cols @ wf
-    if b is not None:
-        out += b.data
-    data = out.reshape(n, ho, wo, co)
+    parents = (x, w, b) if b is not None else (x, w)
+    if _GRAD_ENABLED[-1] and any(p.requires_grad for p in parents):
+        chunks = [slice(0, n)]          # one chunk: the VJP needs all of cols
+    else:
+        chunks = _row_blocks(n, ho * wo * kh * kw * ci)
+    data = np.empty((n, ho, wo, co), dtype=np.result_type(xd, wd))
+    for c in chunks:
+        cols = _im2col(xp[c], kh, kw, stride, ho, wo)
+        out = data[c].reshape(-1, co)
+        np.matmul(cols, wf, out=out)
+        if b is not None:
+            out += b.data
 
     def vjp(g):
         gf = g.reshape(n * ho * wo, co)
@@ -494,5 +578,4 @@ def conv2d(x, w, b=None, stride=1, pad=0):
             return gx, gw, gb
         return gx, gw
 
-    parents = (x, w, b) if b is not None else (x, w)
     return _make(data, parents, vjp)

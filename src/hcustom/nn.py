@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autograd import Tensor, add, matmul
+from .autograd import Tensor, matmul
 
 
 class ParamStore:
@@ -73,10 +73,8 @@ def conv_init(rng: np.random.Generator, kh, kw, cin, cout):
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    out = matmul(x, w)
-    if b is not None:
-        out = add(out, b)
-    return out
+    """x w + b over the last axis of x: one tape op, `matmul` with its bias."""
+    return matmul(x, w, b)
 
 
 class Adam:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hcustom import autograd as ag
+from hcustom.nn import linear
 
 
 def fd_grad(fn, x, eps=1e-6):
@@ -210,14 +211,36 @@ def _attention_reference(q, k, v, scale, probe):
     return out, (gq, gk, gv)
 
 
+# (b, l, s, dh, scale, tile): a tile of None keeps `ag._TILE`, which is far
+# larger than these calls; the small tiles split the query rows into several
+# blocks, the last one shorter (rows 3+3+1 and 2+2+1), or into single rows
 ATTENTION_CASES = [
-    pytest.param(2, 5, 5, 4, 1.0, id="self"),
-    pytest.param(3, 4, 7, 3, 0.37, id="cross"),
+    pytest.param(2, 5, 5, 4, 1.0, None, id="self"),
+    pytest.param(3, 4, 7, 3, 0.37, None, id="cross"),
+    pytest.param(2, 7, 5, 4, 1.0, 30, id="self-blocked"),
+    pytest.param(3, 5, 7, 3, 0.37, 42, id="cross-blocked"),
+    pytest.param(3, 4, 7, 3, 0.37, 1, id="cross-row-per-block"),
 ]
 
 
-@pytest.mark.parametrize("b,l,s,dh,scale", ATTENTION_CASES)
-def test_attention_gradients_match_finite_differences(b, l, s, dh, scale):
+def _set_tile(monkeypatch, tile, l, per_row):
+    """Patch the tile size, checking that a patched call spans several blocks."""
+    if tile is not None:
+        monkeypatch.setattr(ag, "_TILE", tile)
+        assert len(ag._row_blocks(l, per_row)) > 1
+
+
+def test_row_blocks_cover_rows_with_an_uneven_last_block(monkeypatch):
+    monkeypatch.setattr(ag, "_TILE", 30)
+    assert ag._row_blocks(7, 10) == [slice(0, 3), slice(3, 6), slice(6, 7)]
+    assert ag._row_blocks(6, 10) == [slice(0, 3), slice(3, 6)]
+    assert ag._row_blocks(2, 40) == [slice(0, 1), slice(1, 2)]   # a row over the tile
+    assert ag._row_blocks(3, 1) == [slice(0, 3)]
+
+
+@pytest.mark.parametrize("b,l,s,dh,scale,tile", ATTENTION_CASES)
+def test_attention_gradients_match_finite_differences(b, l, s, dh, scale, tile, monkeypatch):
+    _set_tile(monkeypatch, tile, l, b * s)
     local = np.random.default_rng(11)
     check_op(lambda q, k, v: ag.attention(q, k, v, scale),
              [local.normal(size=(b, l, dh)), local.normal(size=(b, s, dh)),
@@ -225,8 +248,9 @@ def test_attention_gradients_match_finite_differences(b, l, s, dh, scale):
              atol=1e-7)
 
 
-@pytest.mark.parametrize("b,l,s,dh,scale", ATTENTION_CASES)
-def test_attention_matches_numpy_reference(b, l, s, dh, scale):
+@pytest.mark.parametrize("b,l,s,dh,scale,tile", ATTENTION_CASES)
+def test_attention_matches_numpy_reference(b, l, s, dh, scale, tile, monkeypatch):
+    _set_tile(monkeypatch, tile, l, b * s)
     local = np.random.default_rng(12)
     arrays = [local.normal(size=(b, l, dh)), local.normal(size=(b, s, dh)),
               local.normal(size=(b, s, dh))]
@@ -238,40 +262,125 @@ def test_attention_matches_numpy_reference(b, l, s, dh, scale):
     np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-12)
     for t, g in zip(ts, grads):
         np.testing.assert_allclose(t.grad, g, rtol=0, atol=1e-12)
+    with ag.no_grad():
+        plain = ag.attention(*ts, scale)
+    np.testing.assert_array_equal(plain.data, out.data)
 
 
-def test_attention_large_logits_stay_finite():
+def test_attention_keeps_one_log_sum_exp_per_row(monkeypatch):
+    # the VJP closure holds the inputs, the output and a [B, L, 1] array;
+    # nothing of the [B, L, S] score size
+    _set_tile(monkeypatch, 30, 7, 2 * 5)
+    local = np.random.default_rng(18)
+    ts = [ag.Tensor(local.normal(size=shape), requires_grad=True)
+          for shape in ((2, 7, 4), (2, 5, 4), (2, 5, 4))]
+    out = ag.attention(*ts, 0.5)
+    held = [c.cell_contents for c in out._vjp.__closure__]
+    arrays = [a for a in held if isinstance(a, np.ndarray)]
+    assert max(a.size for a in arrays) < 2 * 7 * 5
+    assert [a.shape for a in arrays if a.shape[-1] == 1] == [(2, 7, 1)]
+
+
+def test_attention_large_logits_stay_finite(monkeypatch):
     # logits up to about +-100 in float32, where exp overflows above 88.7:
-    # only the row-max subtraction keeps the outputs finite
+    # only the row-max subtraction keeps the outputs finite, and the
+    # recomputed tiles exp(s - lse) stay at or below 1
     local = np.random.default_rng(13)
     q = local.choice([-1.0, 1.0], size=(2, 6, 4)) * 5.0
     k = local.choice([-1.0, 1.0], size=(2, 5, 4)) * 5.0
     v = local.normal(size=(2, 5, 4))
-    ts = [ag.Tensor(a.astype(np.float32), requires_grad=True) for a in (q, k, v)]
     logits = q @ np.swapaxes(k, -1, -2)
     assert np.abs(logits).max() >= 80
-    out = ag.attention(*ts, 1.0)
-    ag.sum_(ag.mul(out, out)).backward()
-    ref, _ = _attention_reference(q, k, v, 1.0, np.zeros((2, 6, 4)))
-    assert np.isfinite(out.data).all()
-    np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-5)
-    for t in ts:
-        assert np.isfinite(t.grad).all()
+    for tile in (None, 20):         # one block, then blocks of 2 rows
+        _set_tile(monkeypatch, tile, 6, 2 * 5)
+        ts = [ag.Tensor(a.astype(np.float32), requires_grad=True) for a in (q, k, v)]
+        out = ag.attention(*ts, 1.0)
+        ag.sum_(ag.mul(out, out)).backward()
+        ref, grads = _attention_reference(q, k, v, 1.0, 2.0 * out.data.astype(np.float64))
+        assert np.isfinite(out.data).all()
+        np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-5)
+        for t, g in zip(ts, grads):
+            assert np.isfinite(t.grad).all()
+            np.testing.assert_allclose(t.grad, g, rtol=0, atol=1e-3 * np.abs(g).max())
 
 
-def test_attention_preserves_float32():
+def test_attention_preserves_float32(monkeypatch):
     local = np.random.default_rng(14)
-    ts = [ag.Tensor(local.normal(size=shape).astype(np.float32), requires_grad=True)
-          for shape in ((2, 3, 4), (2, 5, 4), (2, 5, 4))]
-    out = ag.attention(*ts, 0.5)
-    assert out.data.dtype == np.float32
-    ag.sum_(ag.mul(out, out)).backward()
-    assert all(t.grad.dtype == np.float32 for t in ts)
+    arrays = [local.normal(size=shape).astype(np.float32)
+              for shape in ((2, 3, 4), (2, 5, 4), (2, 5, 4))]
+    for tile in (None, 16):         # one block, then one row per block
+        _set_tile(monkeypatch, tile, 3, 2 * 5)
+        ts = [ag.Tensor(a, requires_grad=True) for a in arrays]
+        out = ag.attention(*ts, 0.5)
+        assert out.data.dtype == np.float32
+        ag.sum_(ag.mul(out, out)).backward()
+        assert all(t.grad.dtype == np.float32 for t in ts)
+
+
+# ---------------------------------------------------------------------------
+# linear: matmul with its bias, one tape op
+
+
+@pytest.mark.parametrize("x_shape,bias", [
+    pytest.param((5, 3), True, id="2d"),
+    pytest.param((2, 3, 4, 3), True, id="leading-axes"),
+    pytest.param((2, 5, 3), False, id="no-bias"),
+])
+def test_linear_gradients_match_finite_differences(x_shape, bias):
+    local = np.random.default_rng(19)
+    arrays = [local.normal(size=x_shape), local.normal(size=(3, 4))]
+    if bias:
+        arrays.append(local.normal(size=4))
+    check_op(lambda *ts: linear(*ts), arrays)
+
+
+def test_linear_is_one_op_and_skips_a_constant_input():
+    local = np.random.default_rng(20)
+    x = ag.Tensor(local.normal(size=(2, 3, 5)).astype(np.float32))
+    w = ag.Tensor(local.normal(size=(5, 4)).astype(np.float32), requires_grad=True)
+    b = ag.Tensor(local.normal(size=4).astype(np.float32), requires_grad=True)
+    out = linear(x, w, b)
+    assert out._parents == (x, w, b)
+    np.testing.assert_allclose(out.data, x.data @ w.data + b.data, rtol=1e-6, atol=1e-6)
+    gx, gw, gb = out._vjp(np.ones_like(out.data))
+    assert gx is None
+    assert gw.dtype == gb.dtype == np.float32
+    np.testing.assert_allclose(gb, np.full(4, 6.0), rtol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# conv2d under no_grad
+
+
+@pytest.mark.parametrize("stride,pad", [(1, 1), (2, 1)])
+def test_untaped_conv2d_matches_taped_in_frame_chunks(stride, pad, monkeypatch):
+    # 5 frames of 6x6 windows x 27 column entries: 972 per frame, so a tile
+    # of 2000 builds the columns two frames at a time (2 + 2 + 1)
+    local = np.random.default_rng(21)
+    x = local.normal(size=(5, 6, 6, 3))
+    w, b = local.normal(size=(3, 3, 3, 4)), local.normal(size=4)
+    taped = ag.conv2d(ag.Tensor(x), ag.Tensor(w, requires_grad=True), ag.Tensor(b),
+                      stride=stride, pad=pad)
+    monkeypatch.setattr(ag, "_TILE", 2000)
+    with ag.no_grad():
+        plain = ag.conv2d(ag.Tensor(x), ag.Tensor(w), ag.Tensor(b), stride=stride, pad=pad)
+    assert plain._vjp is None
+    np.testing.assert_allclose(plain.data, taped.data, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # VJPs must not write to their incoming gradient: `add` hands the same array
 # to both parents and `Tensor.backward` stores it as `.grad` without a copy
+
+
+def _with_tile(tile, build):
+    """build() with `ag._TILE` set to `tile`; a VJP keeps the blocks it was built with."""
+    old = ag._TILE
+    ag._TILE = tile
+    try:
+        return build()
+    finally:
+        ag._TILE = old
 
 
 def _vjp_cases(dtype=np.float64):
@@ -296,6 +405,10 @@ def _vjp_cases(dtype=np.float64):
         "matmul": lambda: ag.matmul(t(2, 3, 4), t(4, 5)),
         "gelu": lambda: ag.gelu(t(3, 4)),
         "attention": lambda: ag.attention(t(2, 3, 4), t(2, 5, 4), t(2, 5, 4), 0.5),
+        "attention_blocked": lambda: _with_tile(16, lambda: ag.attention(
+            t(2, 3, 4), t(2, 5, 4), t(2, 5, 4), 0.5)),
+        "matmul_bias": lambda: ag.matmul(t(2, 3, 4), t(4, 5), t(5)),
+        "matmul_batched": lambda: ag.matmul(t(2, 3, 4), t(2, 4, 5), t(2, 1, 5)),
         "reshape": lambda: ag.reshape(t(3, 4), (2, 6)),
         "transpose": lambda: ag.transpose(t(2, 3, 4), (2, 0, 1)),
         "concat": lambda: ag.concat([t(2, 3), t(2, 2)], axis=1),
