@@ -8,6 +8,7 @@ import numpy as np
 
 from hcustom import CodecConfig, LatentCodec, PixelVideo, tokenize, untokenize
 from hcustom.latent_codec import latent_frame_count, train_codec
+from hcustom.rope3d import video_positions
 from hcustom.synth_data import SceneParams, SpriteIdentity, generate_sample
 
 scene = SceneParams(frames=33, size=64)
@@ -25,7 +26,8 @@ z_edited = codec.encode(PixelVideo(edited))
 same = [bool((z.data[k] == z_edited.data[k]).all()) for k in range(z.frames)]
 print("latent frames unchanged after zeroing pixel frames 9..32:", same)
 
-tokens, positions = tokenize(z)
+tokens = tokenize(z)
+positions = video_positions(z.frames, z.width, z.height)  # token i sits at positions[i]
 print(f"tokens {tokens.shape}, first position {tuple(map(int, positions[0]))}, "
       f"frame-1 starts at {tuple(map(int, positions[z.height * z.width]))}")
 back = untokenize(tokens, z.frames, z.height, z.width)

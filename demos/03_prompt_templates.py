@@ -1,6 +1,7 @@
 """The two image-text templates and marker expansion."""
 
-from hcustom import PromptSpec, Template, build_template, fuse, toy_encoder
+from hcustom import PromptSpec, Template, build_template, fuse_t, toy_encoder
+from hcustom import autograd as ag
 from hcustom.synth_data import SpriteIdentity, render_identity_frame
 from hcustom.latent_codec import PixelVideo
 
@@ -12,15 +13,17 @@ print("embedded:", build_template(embedded))
 print("appended:", build_template(appended))
 
 encoder = toy_encoder(seed=0)
-fused = fuse(appended, encoder)
+with ag.no_grad():
+    embeddings, provenance = fuse_t(appended, encoder)
 counts = {}
-for tag in fused.provenance:
+for tag in provenance:
     counts[tag] = counts.get(tag, 0) + 1
 print("fused token counts:", counts)
-print("total length:", len(fused), "embedding width:", fused.embeddings.shape[1])
+print("total length:", len(provenance), "embedding width:", embeddings.shape[1])
 
 two = PromptSpec("a circle and a square",
                  [("circle", img), ("square", img)], Template.image_appended)
-fused2 = fuse(two, encoder)
-print("two subjects ->", fused2.count("sep"), "separators,",
-      fused2.count("image-1") + fused2.count("image-2"), "image tokens")
+with ag.no_grad():
+    _, provenance2 = fuse_t(two, encoder)
+print("two subjects ->", provenance2.count("sep"), "separators,",
+      provenance2.count("image-1") + provenance2.count("image-2"), "image tokens")

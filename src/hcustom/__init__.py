@@ -8,17 +8,18 @@ timesteps.  Everything runs on numpy with a small taped autodiff core.
 """
 
 from .audio_net import AlignedAudio, AudioInjectConfig, AudioTrack, align_audio
-from .backbone import Backbone, BackboneConfig, TokenSequence, concat_identity
+from .backbone import Backbone, BackboneConfig
 from .errors import HCustomError
 from .flow_match import NoiseSchedule, SamplerConfig, interpolate, sample_flow, train_flow
 from .latent_codec import (CodecConfig, LatentCodec, LatentVideo, PixelVideo,
                            latent_frame_count, tokenize, untokenize)
 from .model import (CustomVideoModel, LatentStats, ModelConfig,
                     load_checkpoint, save_checkpoint)
-from .prompt_fusion import FusedPrompt, PromptSpec, Template, build_template, fuse, toy_encoder
-from .rope3d import RopeConfig, identity_positions, rotate, video_positions
+from .prompt_fusion import PromptSpec, Template, build_template, fuse_t, toy_encoder
+from .rope3d import (RopeConfig, identity_positions, rotate, sequence_positions,
+                     video_positions)
 from .synth_data import (AnnotationRecord, BBox, SceneParams, SpriteIdentity,
                          TrainSample, generate_dataset, generate_sample, load_dataset)
-from .video_inject import AlignmentNet, ConditionVideo, encode_condition, inject_video
+from .video_inject import AlignmentNet, ConditionVideo, encode_condition
 
 __version__ = "0.1.0"

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autograd as ag
-from .errors import DimensionMismatchError, FrameCountError
+from .container import load_container, save_container
+from .errors import ConfigError, DimensionMismatchError, FrameCountError
 from .nn import ParamStore, linear, normal_init
 
 TOKENS_PER_AUDIO_FRAME = 4
@@ -76,9 +77,9 @@ class AudioInjectConfig:
 
     def __post_init__(self):
         if not np.isfinite(self.lambda_a) or self.lambda_a < 0:
-            raise ValueError(f"lambda_a must be finite and >= 0, got {self.lambda_a}")
+            raise ConfigError("lambda_a", f"must be finite and >= 0, got {self.lambda_a}")
         if self.width % self.heads:
-            raise ValueError("audio attention width must divide evenly into heads")
+            raise ConfigError("heads", "audio attention width must divide evenly into heads")
 
 
 def align_audio(audio: AudioTrack, f: int, strict: bool = True) -> AlignedAudio:
@@ -165,18 +166,10 @@ def inject_audio_t(latent_tokens: ag.Tensor, aligned: AlignedAudio,
     return ag.reshape(out, (total, c))
 
 
-def inject_audio(latent_tokens: np.ndarray, aligned: AlignedAudio,
-                 injector: AudioInjector, wh: int) -> np.ndarray:
-    with ag.no_grad():
-        return inject_audio_t(ag.Tensor(latent_tokens), aligned, injector, wh).data
-
-
 def save_track(track: AudioTrack, path):
-    from .container import save_container
     save_container(path, {"features": track.data}, meta={"kind": "audio_track"})
 
 
 def load_track(path) -> AudioTrack:
-    from .container import load_container
     arrays, _ = load_container(path)
     return AudioTrack(arrays["features"])

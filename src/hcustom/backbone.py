@@ -1,4 +1,4 @@
-"""Toy diffusion transformer over [identity tokens || video tokens].
+"""Toy diffusion transformer over an assembled latent token sequence.
 
 Each block runs rotary self-attention over the latent tokens, cross
 attention from latent tokens to the fused prompt, and a feed-forward,
@@ -9,16 +9,14 @@ built model predicts exactly zero velocity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autograd as ag
-from .errors import DimensionMismatchError, NumericalFailureError
-from .latent_codec import LatentVideo
+from .errors import ConfigError, DimensionMismatchError, NumericalFailureError
 from .nn import ParamStore, linear, normal_init
-from .rope3d import RopeConfig, apply_rotation, identity_positions, video_positions
-from .video_inject import inject_video_t
+from .rope3d import RopeConfig, apply_rotation
 
 
 @dataclass(frozen=True)
@@ -35,7 +33,8 @@ class BackboneConfig:
 
     def __post_init__(self):
         if self.width % self.heads:
-            raise ValueError(f"width {self.width} not divisible by heads {self.heads}")
+            raise ConfigError("heads", f"width {self.width} not divisible by heads {self.heads}")
+        self.rope()  # rejects a head dim that the rotary axes cannot split
 
     @property
     def head_dim(self) -> int:
@@ -47,48 +46,6 @@ class BackboneConfig:
 
     def rope(self) -> RopeConfig:
         return RopeConfig(head_dim=self.head_dim, base=self.rope_base)
-
-
-@dataclass
-class TokenSequence:
-    """Latent-space tokens with per-token segment labels."""
-
-    data: np.ndarray              # [L, c]
-    labels: list[str]             # "identity-k" | "video"
-    frames: int                   # f (video latent frames)
-    height: int
-    width: int
-    n_subjects: int
-
-    @property
-    def n_identity_tokens(self) -> int:
-        return self.n_subjects * self.height * self.width
-
-    @property
-    def n_video_tokens(self) -> int:
-        return self.frames * self.height * self.width
-
-
-def concat_identity(video_latent: LatentVideo,
-                    identity_latents: list[LatentVideo]) -> tuple[TokenSequence, np.ndarray]:
-    """Prepend each subject's image tokens (with shifted negative-time positions)."""
-    f, h, w, c = video_latent.data.shape
-    blocks = []
-    positions = []
-    labels = []
-    for k, ident in enumerate(identity_latents, start=1):
-        if ident.data.shape != (1, h, w, c):
-            raise DimensionMismatchError(
-                f"identity latent {k} has shape {ident.data.shape}, expected {(1, h, w, c)}")
-        blocks.append(ident.data.reshape(h * w, c))
-        positions.append(identity_positions(k, w, h))
-        labels.extend([f"identity-{k}"] * (h * w))
-    blocks.append(video_latent.data.reshape(f * h * w, c))
-    positions.append(video_positions(f, w, h))
-    labels.extend(["video"] * (f * h * w))
-    seq = TokenSequence(np.concatenate(blocks, axis=0), labels, f, h, w,
-                        len(identity_latents))
-    return seq, np.concatenate(positions, axis=0)
 
 
 def timestep_features(t: float, dim: int, dtype=np.float32) -> np.ndarray:
@@ -172,8 +129,8 @@ class Backbone:
                   video_cond: ag.Tensor | None = None) -> ag.Tensor:
         """tokens [L, in_channels] -> velocity [L, latent_channels].
 
-        `video_cond` ([n_video, width], add-mode video conditioning) is
-        added to the trailing n_video rows right after the input projection.
+        `video_cond` ([L, width], add-mode video conditioning in hidden
+        space) is added to the tokens right after the input projection.
         """
         cfg = self.config
         p = self.prefix
@@ -184,7 +141,10 @@ class Backbone:
         rope = cfg.rope()
         x = linear(tokens, self.store[f"{p}.in.w"], self.store[f"{p}.in.b"])
         if video_cond is not None:
-            x = inject_video_t(x, video_cond, "add", L - video_cond.shape[0])
+            if video_cond.shape != x.shape:
+                raise DimensionMismatchError(
+                    f"video condition {video_cond.shape} != hidden tokens {x.shape}")
+            x = ag.add(x, video_cond)
         e = ag.gelu(self.timestep_embedding_t(t))
         n_text = prompt.shape[0] if prompt is not None else 0
         d = cfg.width

@@ -11,8 +11,8 @@ directories.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -25,11 +25,10 @@ from .eval_metrics import EvalRef, evaluate
 from .flow_match import SamplerConfig
 from .latent_codec import PixelVideo
 from .model import load_checkpoint
-from .pipeline import (ABLATION_AXES, apply_overrides, parse_config,
-                       run_ablation, run_generate_data, run_training,
-                       sample_to_pixel, validate_config)
+from .pipeline import (ABLATION_AXES, apply_overrides, run_ablation,
+                       run_generate_data, run_training, sample_to_pixel)
 from .prompt_fusion import PromptSpec, Template
-from .rope3d import identity_positions, video_positions
+from .rope3d import sequence_positions
 from .synth_data import SceneParams, load_sample
 from .video_inject import ConditionVideo
 
@@ -41,7 +40,7 @@ def _emit(**record):
 def _load_config(path: str, overrides: list[str]) -> dict:
     try:
         with open(path) as f:
-            cfg = parse_config(f.read())
+            cfg = json.load(f)
     except FileNotFoundError:
         raise ConfigError("config", f"file not found: {path}")
     except json.JSONDecodeError as e:
@@ -79,7 +78,10 @@ def _parse_subject(spec: str) -> tuple[str, str]:
 
 
 def cmd_sample(args) -> int:
-    model, codec, stats, step, _ = load_checkpoint(args.ckpt)
+    lam = args.lambda_audio
+    if lam is not None and not (math.isfinite(lam) and lam >= 0):
+        raise ConfigError("--lambda-audio", f"must be finite and >= 0, got {lam}")
+    model, codec, stats, step, _ = load_checkpoint(args.ckpt, lambda_a=lam)
     subjects = []
     for spec in args.subject or []:
         word, image_path = _parse_subject(spec)
@@ -88,9 +90,6 @@ def cmd_sample(args) -> int:
         else Template.image_appended
     prompt_spec = PromptSpec(args.prompt, subjects, template)
     audio = load_track(args.audio) if args.audio else None
-    if args.lambda_audio is not None:
-        model.audio_injector.config = dataclasses.replace(
-            model.audio_injector.config, lambda_a=args.lambda_audio)
     condition = None
     if args.condition_video:
         mask = None
@@ -98,9 +97,6 @@ def cmd_sample(args) -> int:
             arrays, _ = load_container(args.condition_mask)
             mask = arrays["mask"]
         condition = ConditionVideo(PixelVideo.load(args.condition_video), mask)
-    if args.video_inject_mode:
-        model.config = dataclasses.replace(model.config,
-                                           video_mode=args.video_inject_mode)
     ps = model.prepare(codec, stats,
                        identity_images=[img for _, img in subjects],
                        spec=prompt_spec, audio=audio, condition=condition,
@@ -147,14 +143,9 @@ def cmd_inspect_positions(args) -> int:
         w, h, f = (int(x) for x in args.latent.lower().split("x"))
     except ValueError:
         raise ConfigError("--latent", f"expected WxHxF, got {args.latent!r}")
-    rows = []
-    for k in range(1, args.subjects + 1):
-        for t, x, y in identity_positions(k, w, h):
-            rows.append(("identity-%d" % k, t, x, y))
-    for t, x, y in video_positions(f, w, h):
-        rows.append(("video", t, x, y))
     print(f"{'segment':<12} {'t':>4} {'x':>4} {'y':>4}")
-    for segment, t, x, y in rows:
+    for t, x, y in sequence_positions(args.subjects, f, w, h):
+        segment = "video" if t >= 0 else f"identity-{-t}"
         print(f"{segment:<12} {t:>4} {x:>4} {y:>4}")
     return 0
 
@@ -192,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-audio", type=float, default=None)
     p.add_argument("--condition-video")
     p.add_argument("--condition-mask")
-    p.add_argument("--video-inject-mode", choices=("add", "concat"), default=None)
     p.add_argument("--frames", type=int, default=33)
     p.add_argument("--size", type=int, default=None)
     p.add_argument("--steps", type=int, default=50)

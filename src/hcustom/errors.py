@@ -37,7 +37,7 @@ class DuplicateDescriptorError(TemplateError):
     """Descriptor word occurs more than once, placement is ambiguous."""
 
 
-class ConfigError(HCustomError):
+class ConfigError(HCustomError, ValueError):
     """Invalid run configuration; `field` names the offending entry."""
 
     def __init__(self, field: str, message: str):

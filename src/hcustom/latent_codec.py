@@ -38,7 +38,7 @@ from scipy import ndimage
 
 from . import autograd as ag
 from .container import load_container, save_container
-from .errors import ConfigMismatchError, DimensionMismatchError
+from .errors import ConfigError, ConfigMismatchError, DimensionMismatchError
 from .nn import Adam, ParamStore, conv_init, linear, normal_init
 
 TEMPORAL_STRIDE = 4
@@ -124,7 +124,7 @@ class CodecConfig:
     def __post_init__(self):
         s = self.spatial_factor
         if s < 2 or (s & (s - 1)) != 0:
-            raise ValueError(f"spatial factor must be a power of two >= 2, got {s}")
+            raise ConfigError("spatial_factor", f"must be a power of two >= 2, got {s}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -365,24 +365,14 @@ def _upsample_conv(x: ag.Tensor, w: ag.Tensor, b: ag.Tensor) -> ag.Tensor:
     return ag.add(_depth_to_space(ag.concat(phases, axis=3), 2), b)
 
 
-def encode(video: PixelVideo, codec: LatentCodec) -> LatentVideo:
-    return codec.encode(video)
+def tokenize(latent: LatentVideo) -> np.ndarray:
+    """Serialize [f,h,w,c] to tokens [f*h*w, c].
 
-
-def decode(latent: LatentVideo, codec: LatentCodec) -> PixelVideo:
-    return codec.decode(latent)
-
-
-def tokenize(latent: LatentVideo) -> tuple[np.ndarray, np.ndarray]:
-    """Serialize [f,h,w,c] to (tokens [f*h*w, c], positions [f*h*w, 3]).
-
-    Row-major: time outermost, then height, then width; the position triple
-    of the token from cell (t, x, y) is exactly (t, x, y).
+    Row-major: time outermost, then height, then width, so token i comes
+    from the cell at `rope3d.video_positions(f, w, h)[i]`.
     """
-    from .rope3d import video_positions
-
     f, h, w, c = latent.data.shape
-    return latent.data.reshape(f * h * w, c), video_positions(f, w, h)
+    return latent.data.reshape(f * h * w, c)
 
 
 def untokenize(tokens: np.ndarray, f: int, h: int, w: int) -> LatentVideo:

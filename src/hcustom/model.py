@@ -9,25 +9,27 @@ flag), condition-video features are added to the video tokens after the
 backbone's input projection (add mode) or stacked onto the latents and
 compressed back to latent width (concat mode), audio is
 cross-attended per frame, and the fused prompt feeds cross-attention inside
-every block.
+every block.  `prepare` and `assemble_tokens_t` own the sequence layout:
+subjects 1..m in order, then the video, at `rope3d.sequence_positions`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
 from . import autograd as ag
-from .audio_net import AlignedAudio, AudioInjectConfig, AudioInjector, inject_audio_t
+from .audio_net import (AlignedAudio, AudioInjectConfig, AudioInjector, align_audio,
+                        inject_audio_t)
 from .backbone import Backbone, BackboneConfig
 from .container import load_container, save_container
 from .errors import ConfigError, DimensionMismatchError
-from .latent_codec import CodecConfig, LatentCodec
+from .latent_codec import CodecConfig, LatentCodec, latent_frame_count, tokenize
 from .nn import ParamStore, normal_init
 from .prompt_fusion import PromptSpec, ToyMultimodalEncoder, fuse_t
-from .rope3d import rotation_tables, video_positions
-from .video_inject import ConcatCompressor, inject_video_t
+from .rope3d import rotation_tables, sequence_positions
+from .video_inject import AlignmentNet, ConcatCompressor, encode_condition
 
 CHECKPOINT_VERSION = "hcustom-ckpt/1"
 
@@ -72,8 +74,7 @@ class PreparedSample:
 
     z1: np.ndarray | None                 # [f*h*w, c] clean video tokens
     id_tokens: np.ndarray                 # [m*h*w, c] identity tokens (may be empty)
-    positions: np.ndarray                 # [L, 3] for the assembled sequence
-    rope_cos: np.ndarray
+    rope_cos: np.ndarray                  # [L, head_dim] for the assembled sequence
     rope_sin: np.ndarray
     spec: PromptSpec
     frames: int
@@ -137,8 +138,7 @@ class CustomVideoModel:
         self.encoder = ToyMultimodalEncoder(self.store, rng, d_text=bb.text_width)
         self.audio_injector = AudioInjector(self.store, rng, c,
                                             config.audio_feature_width, config.audio)
-        self.align_net = _build_align(self.store, rng, c,
-                                      config.align_hidden or bb.width,
+        self.align_net = AlignmentNet(self.store, rng, c, config.align_hidden or bb.width,
                                       zero_output=config.video_mode != "concat")
         self.compressor = ConcatCompressor(self.store, c)
         # add mode: the aligned condition enters the backbone through its own
@@ -165,20 +165,19 @@ class CustomVideoModel:
     def velocity_t(self, ps: PreparedSample, z_video: ag.Tensor, t: float) -> ag.Tensor:
         """Predict per-token velocity; output rows match the assembled sequence."""
         cfg = self.config
-        tokens, n_id = self.assemble_tokens_t(ps, z_video)
+        dtype = z_video.data.dtype
         video_cond = None
         if ps.cond_tokens is not None:
-            aligned = self.align_net.forward_t(
-                ag.Tensor(ps.cond_tokens.astype(z_video.data.dtype)))
-            if cfg.video_mode == "add":
-                video_cond = ag.matmul(aligned, self.store["vidin.w"])
+            aligned = self.align_net.forward_t(ag.Tensor(ps.cond_tokens.astype(dtype)))
+            if cfg.video_mode == "concat":
+                z_video = self.compressor.forward_t(z_video, aligned)
             else:
-                tokens = inject_video_t(tokens, aligned, cfg.video_mode, n_id,
-                                        self.compressor)
+                video_cond = ag.matmul(aligned, self.store["vidin.w"])
+        tokens, n_id = self.assemble_tokens_t(ps, z_video)
+        if video_cond is not None and n_id:
+            zeros = np.zeros((n_id, video_cond.shape[1]), dtype=dtype)
+            video_cond = ag.concat([ag.Tensor(zeros), video_cond], axis=0)
         if ps.aligned_audio is not None:
-            if ps.aligned_audio.frames * ps.wh != tokens.shape[0]:
-                raise DimensionMismatchError(
-                    "aligned audio expects an ID-enhanced sequence of f+1 frames")
             tokens = inject_audio_t(tokens, ps.aligned_audio, self.audio_injector,
                                     ps.wh)
         prompt, _ = fuse_t(ps.spec, self.encoder, include_images=cfg.fusion_images)
@@ -197,20 +196,14 @@ class CustomVideoModel:
         For training pass `video`; for sampling pass `frames` (pixel frame
         count) and, when no identity image fixes the grid, `size` = (H, W).
         """
-        from .audio_net import align_audio
-        from .latent_codec import latent_frame_count, tokenize
-        from .rope3d import identity_positions
-        from .video_inject import encode_condition
-
         s = codec.config.spatial_factor
         if video is not None:
             z = codec.encode(video)
             f, h, w = z.frames, z.height, z.width
-            z1_tokens, _ = tokenize(z)
-            z1_tokens = stats.normalize(z1_tokens)
+            z1_tokens = stats.normalize(tokenize(z))
         else:
             if frames is None:
-                raise ValueError("need either a video or an explicit frame count")
+                raise ConfigError("frames", "need either a video or an explicit frame count")
             f = latent_frame_count(frames)
             if size is not None:
                 h, w = size[0] // s, size[1] // s
@@ -218,24 +211,17 @@ class CustomVideoModel:
                 h = identity_images[0].height // s
                 w = identity_images[0].width // s
             else:
-                raise ValueError("cannot infer latent grid; pass size=(H, W)")
+                raise ConfigError("size", "cannot infer latent grid; pass size=(H, W)")
             z1_tokens = None
         id_tokens = []
-        positions = []
-        for k, image in enumerate(identity_images, start=1):
+        for image in identity_images:
             zi = codec.encode(image)
             if (zi.height, zi.width) != (h, w):
                 raise DimensionMismatchError("identity image grid mismatch")
-            tok, _ = tokenize(zi)
-            id_tokens.append(stats.normalize(tok))
-            positions.append(identity_positions(k, w, h))
-        positions.append(video_positions(f, w, h))
+            id_tokens.append(stats.normalize(tokenize(zi)))
         m = len(id_tokens)
         use_identity_tokens = self.config.identity_enhancement and m > 0
-        if self.config.channel_concat or not use_identity_tokens:
-            pos = video_positions(f, w, h)
-        else:
-            pos = np.concatenate(positions, axis=0)
+        pos = sequence_positions(m if use_identity_tokens else 0, f, w, h)
         cos, sin = rotation_tables(pos, self.config.backbone.rope(),
                                    dtype=self.store.dtype)
         aligned = None
@@ -254,15 +240,10 @@ class CustomVideoModel:
             id_tokens=(np.concatenate(id_tokens, axis=0) if id_tokens
                        else np.zeros((0, self.config.backbone.latent_channels),
                                      dtype=np.float32)),
-            positions=pos, rope_cos=cos, rope_sin=sin,
+            rope_cos=cos, rope_sin=sin,
             spec=spec or PromptSpec("", []),
             frames=f, height=h, width=w, n_subjects=m,
             aligned_audio=aligned, cond_tokens=cond_tokens)
-
-
-def _build_align(store, rng, channels, hidden, zero_output):
-    from .video_inject import AlignmentNet
-    return AlignmentNet(store, rng, channels, hidden, zero_output=zero_output)
 
 
 # -- checkpointing ------------------------------------------------------------
@@ -286,12 +267,21 @@ def save_checkpoint(path, model: CustomVideoModel, codec: LatentCodec,
     save_container(path, arrays, meta=meta)
 
 
-def load_checkpoint(path) -> tuple[CustomVideoModel, LatentCodec, LatentStats, int, dict]:
+def load_checkpoint(path, lambda_a: float | None = None
+                    ) -> tuple[CustomVideoModel, LatentCodec, LatentStats, int, dict]:
+    """Rebuild model, codec and latent statistics from a checkpoint.
+
+    `lambda_a`, if given, replaces the stored audio scale before the model
+    is built; the weights are the same for every scale.
+    """
     arrays, meta = load_container(path)
     if meta.get("version") != CHECKPOINT_VERSION:
         raise ConfigError("checkpoint", f"unsupported version {meta.get('version')!r}")
     dtype = np.dtype(meta.get("dtype", "<f4"))
-    model = CustomVideoModel(ModelConfig.from_dict(meta["model_config"]), dtype=dtype)
+    config = ModelConfig.from_dict(meta["model_config"])
+    if lambda_a is not None:
+        config = replace(config, audio=replace(config.audio, lambda_a=lambda_a))
+    model = CustomVideoModel(config, dtype=dtype)
     model.store.load_state_dict(
         {k[len("model."):]: v for k, v in arrays.items() if k.startswith("model.")})
     codec = LatentCodec(CodecConfig.from_dict(meta["codec_config"]))

@@ -23,7 +23,8 @@ from .errors import ConfigError
 from .eval_metrics import (EvalRef, MetricsReport, evaluate, frame_error,
                            masked_region_error)
 from .flow_match import NoiseSchedule, SamplerConfig, sample_flow, train_flow
-from .latent_codec import CodecConfig, LatentCodec, PixelVideo, train_codec, untokenize
+from .latent_codec import (CodecConfig, LatentCodec, PixelVideo, tokenize, train_codec,
+                           untokenize)
 from .model import (CustomVideoModel, LatentStats, ModelConfig, PreparedSample,
                     load_checkpoint, save_checkpoint)
 from .prompt_fusion import PromptSpec, Template
@@ -113,10 +114,6 @@ def serialize_config(cfg: dict) -> str:
     return json.dumps(cfg, sort_keys=True, indent=1)
 
 
-def parse_config(text: str) -> dict:
-    return json.loads(text)
-
-
 def model_config_from(cfg: dict) -> ModelConfig:
     m = cfg["model"]
     audio = cfg.get("audio", {})
@@ -187,8 +184,7 @@ def prepare_samples(model: CustomVideoModel, codec: LatentCodec, stats: LatentSt
 
 
 def compute_latent_stats(codec: LatentCodec, samples: list[TrainSample]) -> LatentStats:
-    from .latent_codec import tokenize
-    tokens = [tokenize(codec.encode(s.video))[0] for s in samples]
+    tokens = [tokenize(codec.encode(s.video)) for s in samples]
     return LatentStats.from_tokens(np.concatenate(tokens, axis=0))
 
 
@@ -224,13 +220,15 @@ def run_training(cfg: dict, log=None, codec: LatentCodec | None = None) -> dict:
     result is the same as retraining it (ablation variants share one codec).
     """
     cfg = validate_config(cfg)
+    # both configs check their values before any stage spends time
+    model_config, codec_config = model_config_from(cfg), codec_config_from(cfg)
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     samples = load_dataset(cfg["dataset"])
     c = cfg["codec"]
     codec_losses = []
     if codec is None:
-        codec = LatentCodec(codec_config_from(cfg))
+        codec = LatentCodec(codec_config)
         t0 = time.monotonic()
         codec_videos, codec_masks = codec_training_set(samples)
         codec_losses = train_codec(
@@ -240,10 +238,10 @@ def run_training(cfg: dict, log=None, codec: LatentCodec | None = None) -> dict:
             log=(lambda step, loss: log(stage="codec", step=step, loss=loss,
                                         wall_time=time.monotonic() - t0))
             if log else None)
-    elif codec.config != codec_config_from(cfg):
+    elif codec.config != codec_config:
         raise ConfigError("codec", "the given codec was built from another codec config")
     stats = compute_latent_stats(codec, samples)
-    model = CustomVideoModel(model_config_from(cfg))
+    model = CustomVideoModel(model_config)
     prepared = prepare_samples(model, codec, stats, samples, cfg["task"],
                                cfg["template"])
     tr = cfg["train"]
@@ -357,10 +355,6 @@ def run_ablation(cfg: dict, axis: str, log=None, n_eval: int = 8,
     report["_base_result"] = base
     report["_variant_result"] = variant
     return report
-
-
-def default_scene(cfg_scene: dict | None = None) -> SceneParams:
-    return SceneParams(**cfg_scene) if cfg_scene else SceneParams()
 
 
 def run_generate_data(out_dir: str, count: int, seed: int,

@@ -108,20 +108,6 @@ def build_template(spec: PromptSpec) -> str:
     return " ".join(parts)
 
 
-@dataclass
-class FusedPrompt:
-    """Per-token embeddings plus provenance after image expansion."""
-
-    embeddings: np.ndarray            # [L, d_text]
-    provenance: list[str]             # "text" | "sep" | "image-k"
-
-    def __len__(self):
-        return len(self.provenance)
-
-    def count(self, tag: str) -> int:
-        return sum(1 for p in self.provenance if p == tag)
-
-
 def adaptive_pool_image(image: np.ndarray, grid: int = IMAGE_GRID) -> np.ndarray:
     """Average-pool [H,W,3] onto a fixed grid x grid mesh (any input size)."""
     h, w = image.shape[:2]
@@ -188,13 +174,6 @@ class ToyMultimodalEncoder:
         return linear(pooled, self.store[f"{self.prefix}.image.w"],
                       self.store[f"{self.prefix}.image.b"])
 
-    # numpy-facing wrappers
-    def encode_text(self, words: list[str]) -> np.ndarray:
-        return self.encode_text_t(words).data
-
-    def encode_image(self, image: PixelVideo) -> np.ndarray:
-        return self.encode_image_t(image).data
-
 
 def toy_encoder(seed: int = 0, d_text: int = 128) -> ToyMultimodalEncoder:
     """Standalone toy encoder with its own parameter store."""
@@ -204,7 +183,11 @@ def toy_encoder(seed: int = 0, d_text: int = 128) -> ToyMultimodalEncoder:
 
 def fuse_t(spec: PromptSpec, encoder: ToyMultimodalEncoder,
            include_images: bool = True) -> tuple[ag.Tensor, list[str]]:
-    """Taped fusion: expand markers into image feature blocks."""
+    """Taped fusion: expand markers into image feature blocks.
+
+    Returns the embeddings [L, d_text] and each token's provenance,
+    "text" | "sep" | "image-k".
+    """
     tagged = _template_tokens(spec)
     pieces: list[ag.Tensor] = []
     provenance: list[str] = []
@@ -233,9 +216,3 @@ def fuse_t(spec: PromptSpec, encoder: ToyMultimodalEncoder,
     if not pieces:
         return ag.Tensor(np.zeros((0, encoder.d_text), dtype=encoder.store.dtype)), []
     return ag.concat(pieces, axis=0), provenance
-
-
-def fuse(spec: PromptSpec, encoder: ToyMultimodalEncoder,
-         include_images: bool = True) -> FusedPrompt:
-    emb, provenance = fuse_t(spec, encoder, include_images=include_images)
-    return FusedPrompt(emb.data, provenance)

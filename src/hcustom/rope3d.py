@@ -21,25 +21,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autograd as ag
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
 class RopeConfig:
     head_dim: int
-    axis_dims: tuple[int, int, int] | None = None  # (d_t, d_x, d_y)
     base: float = 10000.0
 
-    def resolved_axis_dims(self) -> tuple[int, int, int]:
-        if self.axis_dims is not None:
-            dims = tuple(self.axis_dims)
-        else:
-            # time gets half the head dim, each spatial axis a quarter
-            dims = (self.head_dim // 2, self.head_dim // 4, self.head_dim // 4)
-        if sum(dims) != self.head_dim:
-            raise ValueError(f"axis dims {dims} do not sum to head_dim {self.head_dim}")
-        if any(d % 2 for d in dims):
-            raise ValueError(f"axis dims must all be even, got {dims}")
-        return dims
+    def __post_init__(self):
+        if self.head_dim < 8 or self.head_dim % 8:
+            raise ConfigError("head_dim", "must be a multiple of 8 (time takes half, "
+                              f"x and y a quarter each, in pairs), got {self.head_dim}")
+
+    def segments(self) -> tuple[int, int, int]:
+        """Head-dim channels per axis (t, x, y)."""
+        return (self.head_dim // 2, self.head_dim // 4, self.head_dim // 4)
 
 
 def video_positions(f: int, w: int, h: int) -> np.ndarray:
@@ -57,14 +54,16 @@ def identity_positions(k: int, w: int, h: int) -> np.ndarray:
     return np.stack([t, x.ravel() + w, y.ravel() + h], axis=1).astype(np.int64)
 
 
+def sequence_positions(n_subjects: int, f: int, w: int, h: int) -> np.ndarray:
+    """Positions of the assembled sequence: subjects 1..n_subjects, then the video."""
+    grids = [identity_positions(k, w, h) for k in range(1, n_subjects + 1)]
+    return np.concatenate(grids + [video_positions(f, w, h)], axis=0)
+
+
 def _pair_angles(positions: np.ndarray, config: RopeConfig) -> np.ndarray:
     """Rotation angle per (token, pair): [L, head_dim/2]."""
-    dims = config.resolved_axis_dims()
     chunks = []
-    for axis in range(3):
-        da = dims[axis]
-        if da == 0:
-            continue
+    for axis, da in enumerate(config.segments()):
         m = np.arange(da // 2, dtype=np.float64)
         freqs = config.base ** (-2.0 * m / da)
         chunks.append(positions[:, axis:axis + 1].astype(np.float64) * freqs)
@@ -80,7 +79,7 @@ def _channel_layout(config: RopeConfig) -> tuple[np.ndarray, np.ndarray, np.ndar
     """
     pair, sign, swap = [], [], []
     offset = first = 0
-    for da in config.resolved_axis_dims():
+    for da in config.segments():
         half = da // 2
         pairs = np.arange(first, first + half)
         lo = np.arange(offset, offset + half)

@@ -1,20 +1,21 @@
-"""Video conditioning: masked encoding, feature alignment, additive fusion.
+"""Video conditioning: masked encoding, feature alignment, concat compression.
 
 The condition video is blanked to mid-gray wherever its mask is 0 (the
 region to be replaced), encoded with the shared codec, serialized with the
-same tokenizer as the generation target, passed through a four-layer
-fully connected alignment network (zero-initialized final layer), projected
-to the backbone width by its own input projection (the model's `vidin.w`),
-and added frame-by-frame to the video tokens right after the backbone's
-input projection.  Adding in the c latent channels instead would sum the
-condition into the same directions as the noisy latent, where the backbone
-cannot tell the two apart.  Identity-image frames are never touched, and
-the token sequence does not grow, so attention cost is unchanged by
-conditioning.  A token-feature concatenation variant is kept
-behind `mode="concat"` for ablations: there the alignment net's final layer
-is drawn at random and the compressor's condition rows start at zero, so
-exactly one factor of the product is zero and both receive gradients after
-the first step.
+same tokenizer as the generation target, and passed through a four-layer
+fully connected alignment network (zero-initialized final layer).  In the
+default add mode the model projects the aligned features to the backbone
+width by their own input projection (`vidin.w`) and the backbone adds them
+frame-by-frame to the video tokens right after its input projection, with
+a zero term on the identity rows.  Adding in the c latent channels instead
+would sum the condition into the same directions as the noisy latent, where
+the backbone cannot tell the two apart.  The token sequence does not grow,
+so attention cost is unchanged by conditioning.  The concat variant, kept
+for ablations, stacks [video latent || aligned condition] per token and
+compresses it back to latent width (`ConcatCompressor`): there the
+alignment net's final layer is drawn at random and the compressor's
+condition rows start at zero, so exactly one factor of the product is zero
+and both receive gradients after the first step.
 
 Like the audio path, this module never sees identity images or prompt
 tokens.
@@ -32,7 +33,6 @@ from .latent_codec import LatentCodec, PixelVideo, tokenize
 from .nn import ParamStore, linear, normal_init
 
 BLANK_VALUE = 0.5
-MODES = ("add", "concat")
 
 
 @dataclass
@@ -57,8 +57,7 @@ def encode_condition(video: ConditionVideo, codec: LatentCodec) -> np.ndarray:
     frames = video.pixels.data
     if video.mask is not None:
         frames = np.where(video.mask[..., None].astype(bool), frames, BLANK_VALUE)
-    tokens, _ = tokenize(codec.encode(PixelVideo(frames, fps=video.pixels.fps)))
-    return tokens
+    return tokenize(codec.encode(PixelVideo(frames, fps=video.pixels.fps)))
 
 
 class AlignmentNet:
@@ -85,10 +84,6 @@ class AlignmentNet:
             store.parameter(f"{prefix}.l{i}.w", w)
             store.parameter(f"{prefix}.l{i}.b", np.zeros(dims[i + 1]))
 
-    @property
-    def num_layers(self) -> int:
-        return self.NUM_LAYERS
-
     def forward_t(self, tokens: ag.Tensor) -> ag.Tensor:
         x = tokens
         for i in range(self.NUM_LAYERS):
@@ -96,11 +91,6 @@ class AlignmentNet:
             if i < self.NUM_LAYERS - 1:
                 x = ag.gelu(x)
         return x
-
-
-def align(tokens: np.ndarray, net: AlignmentNet) -> np.ndarray:
-    with ag.no_grad():
-        return net.forward_t(ag.Tensor(tokens.astype(net.store.dtype))).data
 
 
 class ConcatCompressor:
@@ -120,44 +110,10 @@ class ConcatCompressor:
         store.parameter(f"{prefix}.w", w)
         store.parameter(f"{prefix}.b", np.zeros(channels))
 
-    def forward_t(self, stacked: ag.Tensor) -> ag.Tensor:
+    def forward_t(self, video: ag.Tensor, condition: ag.Tensor) -> ag.Tensor:
+        """video [f*wh, c] and aligned condition [f*wh, c] -> [f*wh, c]."""
+        if condition.shape[0] != video.shape[0]:
+            raise DimensionMismatchError(
+                f"condition tokens {condition.shape[0]} != video tokens {video.shape[0]}")
+        stacked = ag.concat([video, condition], axis=1)
         return linear(stacked, self.store[f"{self.prefix}.w"], self.store[f"{self.prefix}.b"])
-
-
-def inject_video_t(latent_tokens: ag.Tensor, condition_tokens: ag.Tensor,
-                   mode: str, n_identity_tokens: int,
-                   compressor: ConcatCompressor | None = None) -> ag.Tensor:
-    """Inject aligned condition tokens into the video block of the sequence.
-
-    latent_tokens: [(m identity + f video frames) * wh, c]; the first
-    n_identity_tokens rows are identity tokens and pass through untouched.
-    condition_tokens: [f*wh, c] aligned features, frame-for-frame with the
-    video block.
-    """
-    if mode not in MODES:
-        raise ValueError(f"unknown video injection mode {mode!r}")
-    total, c = latent_tokens.shape
-    n_video = total - n_identity_tokens
-    if condition_tokens.shape[0] != n_video:
-        raise DimensionMismatchError(
-            f"condition tokens {condition_tokens.shape[0]} != video tokens {n_video}")
-    video = ag.slice_axis(latent_tokens, 0, n_identity_tokens, total)
-    if mode == "add":
-        video = ag.add(video, condition_tokens)
-    else:
-        if compressor is None:
-            raise ValueError("concat mode requires a ConcatCompressor")
-        stacked = ag.concat([video, condition_tokens], axis=1)
-        video = compressor.forward_t(stacked)
-    if n_identity_tokens == 0:
-        return video
-    ident = ag.slice_axis(latent_tokens, 0, 0, n_identity_tokens)
-    return ag.concat([ident, video], axis=0)
-
-
-def inject_video(latent_tokens: np.ndarray, condition_tokens: np.ndarray,
-                 mode: str, n_identity_tokens: int,
-                 compressor: ConcatCompressor | None = None) -> np.ndarray:
-    with ag.no_grad():
-        return inject_video_t(ag.Tensor(latent_tokens), ag.Tensor(condition_tokens),
-                              mode, n_identity_tokens, compressor).data

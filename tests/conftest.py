@@ -117,3 +117,24 @@ def identity_ablation_eval(identity_ablation_runs):
                             for v, s in zip(videos, result["samples"])]))
         out[name] = (evaluate(videos, refs), ff)
     return out
+
+
+def backbone_inputs(model, ps, z, t=0.5):
+    """Run `model.velocity_t` and capture what it hands the backbone.
+
+    Returns (tokens, video_cond, velocity): the assembled latent tokens, the
+    add-mode hidden-space condition term (None without one) and the output.
+    """
+    seen = {}
+    forward = model.backbone.forward_t
+
+    def spy(tokens, *args, video_cond=None):
+        seen.update(tokens=tokens, video_cond=video_cond)
+        return forward(tokens, *args, video_cond=video_cond)
+
+    model.backbone.forward_t = spy
+    try:
+        velocity = model.velocity_t(ps, z, t)
+    finally:
+        del model.backbone.forward_t
+    return seen["tokens"], seen["video_cond"], velocity

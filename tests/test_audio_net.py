@@ -4,7 +4,7 @@ import pytest
 from hcustom import autograd as ag
 from hcustom.audio_net import (GROUP, AlignedAudio, AudioInjectConfig,
                                AudioInjector, AudioTrack, align_audio,
-                               inject_audio)
+                               inject_audio_t)
 from hcustom.errors import DimensionMismatchError, FrameCountError
 from hcustom.nn import ParamStore
 
@@ -59,7 +59,7 @@ def test_lambda_zero_is_exact_identity():
     inj = build_injector(lambda_a=0.0)
     tokens = rng.normal(size=(3 * 4, 8))
     aligned = AlignedAudio(rng.normal(size=(3, 16, C_A)))
-    out = inject_audio(tokens, aligned, inj, wh=4)
+    out = inject_audio_t(ag.Tensor(tokens), aligned, inj, wh=4).data
     np.testing.assert_array_equal(out, tokens)
 
 
@@ -67,17 +67,19 @@ def test_shape_mismatch_rejected():
     inj = build_injector()
     aligned = AlignedAudio(rng.normal(size=(3, 16, C_A)))
     with pytest.raises(DimensionMismatchError):
-        inject_audio(rng.normal(size=(10, 8)), aligned, inj, wh=4)
+        inject_audio_t(ag.Tensor(rng.normal(size=(10, 8))), aligned, inj, wh=4)
 
 
 def test_zeroed_audio_frame_removes_only_that_update():
     inj = build_injector()
     tokens = rng.normal(size=(3 * 4, 8))
     audio = rng.normal(size=(3, 16, C_A))
-    base = inject_audio(tokens, AlignedAudio(audio), inj, wh=4).reshape(3, 4, 8)
+    base = inject_audio_t(ag.Tensor(tokens), AlignedAudio(audio), inj, wh=4).data
+    base = base.reshape(3, 4, 8)
     zeroed = audio.copy()
     zeroed[1] = 0.0
-    out = inject_audio(tokens, AlignedAudio(zeroed), inj, wh=4).reshape(3, 4, 8)
+    out = inject_audio_t(ag.Tensor(tokens), AlignedAudio(zeroed), inj, wh=4).data
+    out = out.reshape(3, 4, 8)
     framed = tokens.reshape(3, 4, 8)
     np.testing.assert_array_equal(out[1], framed[1])  # zero value proj bias
     np.testing.assert_array_equal(out[0], base[0])
@@ -88,11 +90,13 @@ def test_per_frame_isolation_exact():
     inj = build_injector()
     tokens = rng.normal(size=(4 * 6, 8))
     audio = rng.normal(size=(4, 16, C_A))
-    base = inject_audio(tokens, AlignedAudio(audio), inj, wh=6).reshape(4, 6, 8)
+    base = inject_audio_t(ag.Tensor(tokens), AlignedAudio(audio), inj, wh=6).data
+    base = base.reshape(4, 6, 8)
     for g in range(4):
         bumped = audio.copy()
         bumped[g] += rng.normal(size=(16, C_A))
-        out = inject_audio(tokens, AlignedAudio(bumped), inj, wh=6).reshape(4, 6, 8)
+        out = inject_audio_t(ag.Tensor(tokens), AlignedAudio(bumped), inj, wh=6).data
+        out = out.reshape(4, 6, 8)
         for other in range(4):
             if other != g:
                 np.testing.assert_array_equal(out[other], base[other])
@@ -103,9 +107,10 @@ def test_frame_permutation_equivariance():
     tokens = rng.normal(size=(4 * 5, 8)).reshape(4, 5, 8)
     audio = rng.normal(size=(4, 16, C_A))
     perm = np.array([2, 0, 3, 1])
-    base = inject_audio(tokens.reshape(-1, 8), AlignedAudio(audio), inj, wh=5)
-    permuted = inject_audio(tokens[perm].reshape(-1, 8), AlignedAudio(audio[perm]),
-                            inj, wh=5)
+    base = inject_audio_t(ag.Tensor(tokens.reshape(-1, 8)), AlignedAudio(audio),
+                          inj, wh=5).data
+    permuted = inject_audio_t(ag.Tensor(tokens[perm].reshape(-1, 8)),
+                              AlignedAudio(audio[perm]), inj, wh=5).data
     np.testing.assert_allclose(permuted.reshape(4, 5, 8),
                                base.reshape(4, 5, 8)[perm], atol=1e-12)
 
@@ -121,7 +126,6 @@ def test_injector_gradients_flow():
     inj = build_injector()
     tokens = ag.Tensor(rng.normal(size=(3 * 4, 8)), requires_grad=True)
     aligned = AlignedAudio(rng.normal(size=(3, 16, C_A)))
-    from hcustom.audio_net import inject_audio_t
     out = inject_audio_t(tokens, aligned, inj, wh=4)
     ag.sum_(ag.mul(out, out)).backward()
     assert tokens.grad is not None

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from hcustom import autograd as ag
-from hcustom.backbone import Backbone, BackboneConfig, concat_identity
+from hcustom.backbone import Backbone, BackboneConfig
 from hcustom.errors import DimensionMismatchError
-from hcustom.latent_codec import LatentVideo
 from hcustom.nn import ParamStore
-from hcustom.rope3d import rotation_tables
+from hcustom.rope3d import rotation_tables, sequence_positions
 
 rng = np.random.default_rng(13)
 
@@ -18,58 +17,39 @@ def build(config=SMALL, dtype=np.float64, seed=0):
     return Backbone(store, np.random.default_rng(seed), config), store
 
 
-def latent(f, h, w, c):
-    return LatentVideo(rng.normal(size=(f, h, w, c)))
-
-
-def test_concat_identity_length_matches_paper_case():
-    seq, positions = concat_identity(latent(33, 8, 8, 4), [latent(1, 8, 8, 4)])
-    assert seq.data.shape[0] == (33 + 1) * 64 == 2176
-    assert len(positions) == 2176
-    assert seq.labels[0] == "identity-1" and seq.labels[-1] == "video"
-
-
-def test_concat_identity_no_subjects():
-    seq, positions = concat_identity(latent(3, 2, 2, 4), [])
-    assert seq.data.shape[0] == 12
-    assert all(l == "video" for l in seq.labels)
-
-
-def test_concat_identity_three_subjects_label_order():
-    seq, _ = concat_identity(latent(2, 2, 2, 4), [latent(1, 2, 2, 4) for _ in range(3)])
-    assert seq.labels[:12] == (["identity-1"] * 4 + ["identity-2"] * 4 + ["identity-3"] * 4)
-    assert seq.n_identity_tokens == 12
-
-
-def test_concat_identity_shape_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        concat_identity(latent(2, 2, 2, 4), [latent(1, 3, 2, 4)])
-
-
 def _forward_setup(model, f=2, h=2, w=2, m=1, n_text=5, seed=10):
     r = np.random.default_rng(seed)
     c = model.config.latent_channels
-    seq, positions = concat_identity(
-        LatentVideo(r.normal(size=(f, h, w, c))),
-        [LatentVideo(r.normal(size=(1, h, w, c))) for _ in range(m)])
+    video = r.normal(size=(f * h * w, c))
+    identity = [r.normal(size=(h * w, c)) for _ in range(m)]
+    tokens = np.concatenate(identity + [video], axis=0)
+    positions = sequence_positions(m, f, w, h)
     cos, sin = rotation_tables(positions, model.config.rope())
     prompt = r.normal(size=(n_text, model.config.text_width))
-    return seq, positions, cos, sin, prompt
+    return tokens, positions, cos, sin, prompt
 
 
 def test_forward_zero_at_init():
     model, _ = build()
     seq, _, cos, sin, prompt = _forward_setup(model)
-    out = model.forward_t(ag.Tensor(seq.data), cos, sin, ag.Tensor(prompt), t=0.37)
+    out = model.forward_t(ag.Tensor(seq), cos, sin, ag.Tensor(prompt), t=0.37)
     np.testing.assert_array_equal(out.data, np.zeros_like(out.data))
+
+
+def test_video_condition_must_match_the_hidden_tokens():
+    model, _ = build()
+    seq, _, cos, sin, prompt = _forward_setup(model)
+    cond = ag.Tensor(np.ones((1, model.config.width)))  # would broadcast silently
+    with pytest.raises(DimensionMismatchError):
+        model.forward_t(ag.Tensor(seq), cos, sin, ag.Tensor(prompt), t=0.3, video_cond=cond)
 
 
 def test_forward_deterministic_and_no_cross_sample_interaction():
     model, store = build()
     store["backbone.out.w"].data = rng.normal(size=store["backbone.out.w"].data.shape)
     seq, _, cos, sin, prompt = _forward_setup(model)
-    a = model.forward_t(ag.Tensor(seq.data), cos, sin, ag.Tensor(prompt), t=0.5).data
-    b = model.forward_t(ag.Tensor(seq.data), cos, sin, ag.Tensor(prompt), t=0.5).data
+    a = model.forward_t(ag.Tensor(seq), cos, sin, ag.Tensor(prompt), t=0.5).data
+    b = model.forward_t(ag.Tensor(seq), cos, sin, ag.Tensor(prompt), t=0.5).data
     np.testing.assert_array_equal(a, b)
 
 
@@ -77,18 +57,19 @@ def test_video_token_permutation_equivariance():
     model, store = build()
     store["backbone.out.w"].data = rng.normal(size=store["backbone.out.w"].data.shape)
     seq, positions, cos, sin, prompt = _forward_setup(model, f=3)
-    base = model.forward_t(ag.Tensor(seq.data), cos, sin, ag.Tensor(prompt), t=0.4).data
+    base = model.forward_t(ag.Tensor(seq), cos, sin, ag.Tensor(prompt), t=0.4).data
 
-    perm = np.arange(seq.data.shape[0])
-    i, j = seq.n_identity_tokens + 1, seq.n_identity_tokens + 7
+    n_id = int((positions[:, 0] < 0).sum())
+    perm = np.arange(seq.shape[0])
+    i, j = n_id + 1, n_id + 7
     perm[[i, j]] = perm[[j, i]]
     cos_p, sin_p = rotation_tables(positions[perm], model.config.rope())
-    permuted = model.forward_t(ag.Tensor(seq.data[perm]), cos_p, sin_p,
+    permuted = model.forward_t(ag.Tensor(seq[perm]), cos_p, sin_p,
                                ag.Tensor(prompt), t=0.4).data
     np.testing.assert_allclose(permuted, base[perm], atol=1e-10)
 
     # permuting tokens without their positions must change outputs
-    stale = model.forward_t(ag.Tensor(seq.data[perm]), cos, sin,
+    stale = model.forward_t(ag.Tensor(seq[perm]), cos, sin,
                             ag.Tensor(prompt), t=0.4).data
     assert np.abs(stale - base[perm]).max() > 1e-8
 
@@ -97,10 +78,10 @@ def test_identity_tokens_affect_video_outputs():
     model, store = build()
     store["backbone.out.w"].data = rng.normal(size=store["backbone.out.w"].data.shape)
     seq, positions, cos, sin, prompt = _forward_setup(model, f=2, m=1)
-    with_id = model.forward_t(ag.Tensor(seq.data), cos, sin, ag.Tensor(prompt), t=0.3).data
-    n_id = seq.n_identity_tokens
+    with_id = model.forward_t(ag.Tensor(seq), cos, sin, ag.Tensor(prompt), t=0.3).data
+    n_id = int((positions[:, 0] < 0).sum())
     cos_v, sin_v = rotation_tables(positions[n_id:], model.config.rope())
-    without = model.forward_t(ag.Tensor(seq.data[n_id:]), cos_v, sin_v,
+    without = model.forward_t(ag.Tensor(seq[n_id:]), cos_v, sin_v,
                               ag.Tensor(prompt), t=0.3).data
     assert np.abs(with_id[n_id:] - without).max() > 1e-8
 
@@ -113,7 +94,7 @@ def test_all_parameters_receive_gradient_after_warm_start():
         if ".mod.w" in name:
             store[name].data = 0.01 * rng.normal(size=store[name].data.shape)
     seq, _, cos, sin, prompt = _forward_setup(model, f=2, m=1)
-    out = model.forward_t(ag.Tensor(seq.data), cos, sin, ag.Tensor(prompt), t=0.21)
+    out = model.forward_t(ag.Tensor(seq), cos, sin, ag.Tensor(prompt), t=0.21)
     ag.mean_(ag.mul(out, out)).backward()
     for name, p in store.items():
         assert p.grad is not None, f"no gradient reached {name}"
@@ -124,7 +105,7 @@ def test_gradcheck_backbone_sampled_params():
     model, store = build()
     store["backbone.out.w"].data = 0.05 * rng.normal(size=store["backbone.out.w"].data.shape)
     seq, _, cos, sin, prompt_np = _forward_setup(model, f=2, m=1, n_text=4)
-    x = seq.data
+    x = seq
 
     def loss_value():
         with ag.no_grad():

@@ -7,7 +7,7 @@ import pytest
 from hcustom.cli import main
 from hcustom.latent_codec import PixelVideo
 from hcustom.pipeline import (DEFAULT_CONFIG, apply_overrides, merge_config,
-                              parse_config, serialize_config, validate_config)
+                              serialize_config, validate_config)
 from hcustom.errors import ConfigError
 
 TINY_CFG = {
@@ -66,6 +66,36 @@ def test_train_and_sample_cli(workspace, capsys):
     assert rc == 0
     video = PixelVideo.load(out_path)
     assert video.frames == 5 and video.height == 16
+
+    # no subject image and no --size leave the latent grid unknown: a usage error
+    capsys.readouterr()
+    rc = main(["sample", "--ckpt", ckpt, "--prompt", sample.caption,
+               "--frames", "5", "--steps", "2", "--out", str(root / "nogrid.hc")])
+    assert rc == 2
+    assert "size" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", ["model.heads=3", "audio.lambda_a=-1",
+                                      "codec.spatial_factor=3"])
+def test_bad_config_value_exits_2_before_codec_training(workspace, tmp_path, capsys,
+                                                        override):
+    _, _, cfg_path = workspace
+    args = ["train", "--config", str(cfg_path), "--set", override,
+            "--set", f"out_dir={tmp_path}"]
+    if override.startswith("audio."):
+        args += ["--set", "task=audio_custom"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert '"stage": "codec"' not in err
+    field = override.split(".")[1].split("=")[0]
+    assert f"config error: {field}:" in err
+
+
+def test_sample_rejects_negative_lambda_before_loading(tmp_path, capsys):
+    rc = main(["sample", "--ckpt", str(tmp_path / "missing.hc"), "--prompt", "x",
+               "--lambda-audio", "-1", "--out", str(tmp_path / "out.hc")])
+    assert rc == 2
+    assert "--lambda-audio" in capsys.readouterr().err
 
 
 def test_evaluate_cli(workspace, capsys):
@@ -129,7 +159,7 @@ def test_audio_section_rejected_on_t2v(tmp_path, capsys):
 
 def test_config_roundtrip_and_overrides():
     cfg = validate_config({"task": "t2v", "dataset": "d", "out_dir": "o"})
-    again = validate_config(parse_config(serialize_config(cfg)))
+    again = validate_config(json.loads(serialize_config(cfg)))
     assert cfg == again
     over = apply_overrides(cfg, ["train.steps=7", "model.width=32",
                                  "train.steps=9"])

@@ -7,6 +7,7 @@ from hcustom.latent_codec import (CodecConfig, LatentCodec, LatentVideo,
                                   PixelVideo, latent_frame_count,
                                   _upsample_conv, pixel_frame_count, tokenize,
                                   train_codec, untokenize)
+from hcustom.rope3d import video_positions
 
 rng = np.random.default_rng(3)
 
@@ -89,19 +90,19 @@ def test_decode_rejects_wrong_channels(codec):
 
 
 def test_tokenize_shapes_and_positions(codec):
-    z = LatentVideo(rng.normal(size=(2, 2, 2, 8)))
-    tokens, positions = tokenize(z)
-    assert tokens.shape == (8, 8)
-    assert tuple(positions[4]) == (1, 0, 0)
+    z = LatentVideo(rng.normal(size=(2, 2, 3, 8)))
+    tokens = tokenize(z)
+    assert tokens.shape == (12, 8)
+    # token i comes from the cell at video_positions(f, w, h)[i] = (t, x, y)
+    for i, (t, x, y) in enumerate(video_positions(2, 3, 2)):
+        np.testing.assert_array_equal(tokens[i], z.data[t, y, x])
     one = LatentVideo(rng.normal(size=(1, 1, 1, 8)))
-    tokens, positions = tokenize(one)
-    assert tokens.shape == (1, 8) and tuple(positions[0]) == (0, 0, 0)
+    assert tokenize(one).shape == (1, 8)
 
 
 def test_tokenize_roundtrip(codec):
     z = LatentVideo(rng.normal(size=(3, 4, 5, 8)))
-    tokens, _ = tokenize(z)
-    back = untokenize(tokens, 3, 4, 5)
+    back = untokenize(tokenize(z), 3, 4, 5)
     np.testing.assert_array_equal(back.data, z.data)
 
 

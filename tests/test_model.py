@@ -1,0 +1,65 @@
+"""CustomVideoModel.prepare: the sequence layout it caches and the inputs
+it rejects."""
+
+import numpy as np
+import pytest
+
+from hcustom.backbone import BackboneConfig
+from hcustom.errors import ConfigError, DimensionMismatchError
+from hcustom.latent_codec import CodecConfig, LatentCodec, PixelVideo
+from hcustom.model import CustomVideoModel, LatentStats, ModelConfig
+from hcustom.rope3d import rotation_tables, sequence_positions
+from hcustom.synth_data import SceneParams, SpriteIdentity, generate_sample
+from hcustom.video_inject import ConditionVideo
+
+
+@pytest.fixture(scope="module")
+def parts():
+    model = CustomVideoModel(ModelConfig(
+        backbone=BackboneConfig(width=16, heads=2, blocks=1, latent_channels=8,
+                                text_width=16), align_hidden=8, seed=4))
+    codec = LatentCodec(CodecConfig(spatial_factor=8, latent_channels=8,
+                                    hidden_channels=8, seed=1))
+    sample = generate_sample(SpriteIdentity(shape="circle", hue_bin=1, size=8),
+                             SceneParams(frames=5, size=16), seed=2)
+    return model, codec, LatentStats.identity(8), sample
+
+
+def test_prepare_rotates_at_sequence_positions(parts):
+    model, codec, stats, sample = parts
+    ps = model.prepare(codec, stats, video=sample.video,
+                       identity_images=sample.identity_images * 2)
+    cos, sin = rotation_tables(sequence_positions(2, ps.frames, ps.width, ps.height),
+                               model.config.backbone.rope(), dtype=model.store.dtype)
+    np.testing.assert_array_equal(ps.rope_cos, cos)
+    np.testing.assert_array_equal(ps.rope_sin, sin)
+
+
+def test_prepare_rejects_identity_image_on_another_grid(parts):
+    model, codec, stats, sample = parts
+    wide = PixelVideo(np.full((1, 16, 24, 3), 0.5, dtype=np.float32))
+    with pytest.raises(DimensionMismatchError):
+        model.prepare(codec, stats, video=sample.video, identity_images=[wide])
+
+
+def test_prepare_rejects_audio_without_exactly_one_subject(parts):
+    model, codec, stats, sample = parts
+    for images in ((), sample.identity_images * 2):
+        with pytest.raises(ConfigError):
+            model.prepare(codec, stats, video=sample.video, identity_images=images,
+                          audio=sample.audio)
+
+
+def test_prepare_rejects_condition_video_of_another_length(parts):
+    model, codec, stats, sample = parts
+    one_frame = ConditionVideo(PixelVideo(sample.video.data[:1]))  # 1 latent frame, not 2
+    with pytest.raises(DimensionMismatchError):
+        model.prepare(codec, stats, video=sample.video, condition=one_frame)
+
+
+def test_prepare_without_frames_or_grid_is_a_config_error(parts):
+    model, codec, stats, _ = parts
+    with pytest.raises(ConfigError, match="frames"):
+        model.prepare(codec, stats)
+    with pytest.raises(ConfigError, match="size"):
+        model.prepare(codec, stats, frames=5)

@@ -4,7 +4,7 @@ import pytest
 from hcustom.errors import DuplicateDescriptorError, MissingDescriptorError
 from hcustom.latent_codec import PixelVideo
 from hcustom.prompt_fusion import (IMAGE_TOKENS, PromptSpec, Template,
-                                   build_template, fuse, tokenize_text,
+                                   build_template, fuse_t, tokenize_text,
                                    toy_encoder)
 
 rng = np.random.default_rng(11)
@@ -46,40 +46,38 @@ def test_duplicate_descriptor_embedded():
 
 def test_sep_forgery_is_escaped():
     spec = PromptSpec("hello <SEP> world", [("world", img())], Template.image_appended)
-    enc = toy_encoder(0)
-    fused = fuse(spec, enc)
-    assert fused.count("sep") == 1  # only the template separator, not user text
+    _, provenance = fuse_t(spec, toy_encoder(0))
+    assert provenance.count("sep") == 1  # only the template separator, not user text
 
 
 def test_fuse_counts_single_subject():
     spec = PromptSpec("a b c d e f", [("man", img())], Template.image_appended)
-    enc = toy_encoder(0)
-    fused = fuse(spec, enc)
+    emb, provenance = fuse_t(spec, toy_encoder(0))
     # 6 text + 1 sep + 4 identity-phrase words + 576 image tokens
-    assert len(fused) == 6 + 1 + 4 + IMAGE_TOKENS
-    assert fused.count("sep") == 1
-    assert fused.count("image-1") == IMAGE_TOKENS
+    assert len(provenance) == emb.shape[0] == 6 + 1 + 4 + IMAGE_TOKENS
+    assert provenance.count("sep") == 1
+    assert provenance.count("image-1") == IMAGE_TOKENS
 
 
 def test_fuse_counts_two_subjects():
     spec = PromptSpec("a red circle and a blue square",
                       [("circle", img(1)), ("square", img(2))],
                       Template.image_appended)
-    fused = fuse(spec, toy_encoder(0))
-    assert fused.count("sep") == 2
-    assert fused.count("image-1") + fused.count("image-2") == 2 * IMAGE_TOKENS
+    _, provenance = fuse_t(spec, toy_encoder(0))
+    assert provenance.count("sep") == 2
+    assert provenance.count("image-1") + provenance.count("image-2") == 2 * IMAGE_TOKENS
 
 
 def test_fuse_no_subjects():
-    fused = fuse(PromptSpec("a cat sits", []), toy_encoder(0))
-    assert fused.count("sep") == 0
-    assert all(p == "text" for p in fused.provenance)
+    _, provenance = fuse_t(PromptSpec("a cat sits", []), toy_encoder(0))
+    assert provenance.count("sep") == 0
+    assert all(p == "text" for p in provenance)
 
 
 def test_image_block_deterministic():
     enc = toy_encoder(3)
-    a = enc.encode_image(img(5))
-    b = enc.encode_image(img(5))
+    a = enc.encode_image_t(img(5)).data
+    b = enc.encode_image_t(img(5)).data
     np.testing.assert_array_equal(a, b)
     assert a.shape == (IMAGE_TOKENS, enc.d_text)
 
@@ -89,26 +87,26 @@ def test_one_pixel_change_hits_containing_cell():
     base = img(5, size=48)
     bumped = PixelVideo(base.data.copy())
     bumped.data[0, 10, 33, 1] += 0.5
-    delta = np.abs(enc.encode_image(base) - enc.encode_image(bumped))
+    delta = np.abs(enc.encode_image_t(base).data - enc.encode_image_t(bumped).data)
     changed = np.nonzero(delta.sum(axis=1))[0]
     cell = (10 * 24 // 48) * 24 + (33 * 24 // 48)
     assert cell in changed
 
 
 def test_encode_text_empty():
-    assert toy_encoder(0).encode_text([]).shape == (0, 128)
+    assert toy_encoder(0).encode_text_t([]).shape == (0, 128)
 
 
 def test_swapping_subjects_permutes_blocks():
     a, b = img(1), img(2)
     enc = toy_encoder(0)
-    f1 = fuse(PromptSpec("x", [("p", a), ("q", b)]), enc)
-    f2 = fuse(PromptSpec("x", [("q", b), ("p", a)]), enc)
-    i1 = [i for i, p in enumerate(f1.provenance) if p.startswith("image-1")]
-    i2 = [i for i, p in enumerate(f2.provenance) if p.startswith("image-2")]
-    np.testing.assert_array_equal(f1.embeddings[i1], f2.embeddings[i2])
-    t1 = [i for i, p in enumerate(f1.provenance) if p == "text"]
-    t2 = [i for i, p in enumerate(f2.provenance) if p == "text"]
+    e1, p1 = fuse_t(PromptSpec("x", [("p", a), ("q", b)]), enc)
+    e2, p2 = fuse_t(PromptSpec("x", [("q", b), ("p", a)]), enc)
+    i1 = [i for i, p in enumerate(p1) if p.startswith("image-1")]
+    i2 = [i for i, p in enumerate(p2) if p.startswith("image-2")]
+    np.testing.assert_array_equal(e1.data[i1], e2.data[i2])
+    t1 = [i for i, p in enumerate(p1) if p == "text"]
+    t2 = [i for i, p in enumerate(p2) if p == "text"]
     # text tokens differ only by descriptor word order; counts match
     assert len(t1) == len(t2)
 
@@ -116,7 +114,7 @@ def test_swapping_subjects_permutes_blocks():
 def test_any_image_size_yields_576_tokens():
     enc = toy_encoder(0)
     for size in (8, 24, 30, 64):
-        assert enc.encode_image(img(0, size=size)).shape[0] == IMAGE_TOKENS
+        assert enc.encode_image_t(img(0, size=size)).shape[0] == IMAGE_TOKENS
 
 
 def test_tokenizer_splits_punctuation():

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hcustom import autograd as ag
+from hcustom.backbone import BackboneConfig
+from hcustom.errors import ConfigError
 from hcustom.rope3d import (RopeConfig, apply_rotation, half_swap, identity_positions,
-                            rotate, rotation_tables, video_positions)
+                            rotate, rotation_tables, sequence_positions, video_positions)
 
 CFG = RopeConfig(head_dim=32)
 rng = np.random.default_rng(7)
@@ -85,11 +87,33 @@ def test_rejects_wrong_vector_length():
         rotate(np.zeros(16), (0, 0, 0), CFG)
 
 
-def test_axis_dims_validation():
-    with pytest.raises(ValueError):
-        RopeConfig(head_dim=32, axis_dims=(15, 9, 8)).resolved_axis_dims()
-    with pytest.raises(ValueError):
-        RopeConfig(head_dim=30).resolved_axis_dims()  # 15+7+7 unbalanced/odd
+def test_head_dim_must_split_into_axis_pairs():
+    assert CFG.segments() == (16, 8, 8)
+    with pytest.raises(ConfigError):
+        RopeConfig(head_dim=30)  # 15+7+7: odd segments, sum 29
+    with pytest.raises(ConfigError):
+        RopeConfig(head_dim=12)  # 6+3+3: odd spatial segments
+    # the backbone config rejects such a head dim when it is built
+    with pytest.raises(ConfigError, match="head_dim"):
+        BackboneConfig(width=24, heads=2)
+
+
+def test_sequence_positions_paper_case_length():
+    # one subject ahead of a 33-frame 8x8 latent video: (33 + 1) * 64 tokens
+    positions = sequence_positions(1, 33, 8, 8)
+    assert len(positions) == 2176
+    np.testing.assert_array_equal(positions[:64], identity_positions(1, 8, 8))
+    np.testing.assert_array_equal(positions[64:], video_positions(33, 8, 8))
+
+
+def test_sequence_positions_without_subjects_is_the_video_grid():
+    np.testing.assert_array_equal(sequence_positions(0, 3, 2, 2), video_positions(3, 2, 2))
+
+
+def test_sequence_positions_subject_order():
+    positions = sequence_positions(3, 2, 2, 2)
+    assert positions[:12, 0].tolist() == [-1] * 4 + [-2] * 4 + [-3] * 4
+    assert (positions[12:, 0] >= 0).all() and len(positions) == (3 + 2) * 4
 
 
 def test_apply_rotation_matches_single_vector_rotate():

@@ -2,12 +2,15 @@
 with the acceptance suite, so running this module alone still trains the
 small ablation models)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hcustom import autograd as ag
+from hcustom.audio_net import AlignedAudio, inject_audio_t
 from hcustom.flow_match import SamplerConfig, flow_loss_t, sample_flow
-from hcustom.rope3d import rotation_tables
+from hcustom.rope3d import rotation_tables, sequence_positions
 
 pytestmark = pytest.mark.slow
 
@@ -30,14 +33,11 @@ def test_identity_tokens_matter_on_trained_checkpoint(identity_ablation_runs):
     z = rng.standard_normal(ps.z1.shape).astype(np.float32)
     with ag.no_grad():
         full = model.velocity_t(ps, ag.Tensor(z), 0.5).data
-        import dataclasses
-        ps_stripped = dataclasses.replace(
-            ps, id_tokens=ps.id_tokens[:0], n_subjects=0,
-            positions=ps.positions[ps.n_identity_tokens:])
-        cos, sin = rotation_tables(ps_stripped.positions,
+        cos, sin = rotation_tables(sequence_positions(0, ps.frames, ps.width, ps.height),
                                    model.config.backbone.rope(),
                                    dtype=model.store.dtype)
-        ps_stripped = dataclasses.replace(ps_stripped, rope_cos=cos, rope_sin=sin)
+        ps_stripped = dataclasses.replace(ps, id_tokens=ps.id_tokens[:0], n_subjects=0,
+                                          rope_cos=cos, rope_sin=sin)
         stripped = model.velocity_t(ps_stripped, ag.Tensor(z), 0.5).data
     n_id = ps.n_identity_tokens
     assert np.abs(full[n_id:] - stripped).max() > 1e-5
@@ -64,16 +64,18 @@ def test_alignment_net_receives_gradients(video_ablation_runs):
 
 def test_audio_injection_ignores_identity_context(identity_ablation_runs):
     """The audio delta depends only on (latents, audio), never on identity."""
-    from hcustom.audio_net import AlignedAudio, inject_audio
     result = identity_ablation_runs["base"]
     model = result["model"]
     rng = np.random.default_rng(2)
     wh = 6 * 6
     tokens = rng.normal(size=(4 * wh, 16)).astype(np.float32)
     aligned = AlignedAudio(rng.normal(size=(4, 16, 32)).astype(np.float32))
-    delta_1 = inject_audio(tokens, aligned, model.audio_injector, wh) - tokens
-    # swap every identity-related input in the surrounding context
-    other = identity_ablation_runs["channel_concat"]["samples"][0]
-    _ = other.identity_images[0]
-    delta_2 = inject_audio(tokens, aligned, model.audio_injector, wh) - tokens
+    with ag.no_grad():
+        delta_1 = inject_audio_t(ag.Tensor(tokens), aligned, model.audio_injector,
+                                 wh).data - tokens
+        # swap every identity-related input in the surrounding context
+        other = identity_ablation_runs["channel_concat"]["samples"][0]
+        _ = other.identity_images[0]
+        delta_2 = inject_audio_t(ag.Tensor(tokens), aligned, model.audio_injector,
+                                 wh).data - tokens
     np.testing.assert_array_equal(delta_1, delta_2)
