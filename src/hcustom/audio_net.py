@@ -20,7 +20,7 @@ import numpy as np
 from . import autograd as ag
 from .container import load_container, save_container
 from .errors import ConfigError, DimensionMismatchError, FrameCountError
-from .nn import ParamStore, linear, normal_init
+from .nn import ParamStore, normal_init
 
 TOKENS_PER_AUDIO_FRAME = 4
 GROUP = 4  # consecutive audio frames aggregated per latent frame
@@ -136,17 +136,17 @@ class AudioInjector:
         heads = self.config.heads
         dh = self.config.width // heads
         audio = ag.Tensor(aligned.astype(frames_tokens.data.dtype, copy=False))
-        q = self._heads(linear(frames_tokens, self.store[f"{p}.q.w"], self.store[f"{p}.q.b"]),
-                        F, wh)
-        k = self._heads(linear(audio, self.store[f"{p}.k.w"], self.store[f"{p}.k.b"]),
+        q = self._heads(ag.matmul(frames_tokens, self.store[f"{p}.q.w"],
+                                  self.store[f"{p}.q.b"]), F, wh)
+        k = self._heads(ag.matmul(audio, self.store[f"{p}.k.w"], self.store[f"{p}.k.b"]),
                         F, GROUPED_TOKENS)
-        v = self._heads(linear(audio, self.store[f"{p}.v.w"], self.store[f"{p}.v.b"]),
+        v = self._heads(ag.matmul(audio, self.store[f"{p}.v.w"], self.store[f"{p}.v.b"]),
                         F, GROUPED_TOKENS)
         out = ag.attention(q, k, v, 1.0 / float(np.sqrt(dh)))  # [F*h, wh, dh]
         out = ag.reshape(out, (F, heads, wh, dh))
         out = ag.transpose(out, (0, 2, 1, 3))
         out = ag.reshape(out, (F, wh, heads * dh))
-        return linear(out, self.store[f"{p}.o.w"], self.store[f"{p}.o.b"])
+        return ag.matmul(out, self.store[f"{p}.o.w"], self.store[f"{p}.o.b"])
 
 
 def inject_audio_t(latent_tokens: ag.Tensor, aligned: AlignedAudio,

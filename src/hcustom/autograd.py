@@ -55,62 +55,8 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar; constants stay plain numpy/python and are never taped
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return add(neg(self), other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("divide by a Tensor is not supported; use reciprocal ops explicitly")
-        return mul(self, 1.0 / other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean_(self, axis=axis, keepdims=keepdims)
 
     def backward(self):
         """Backpropagate from this (scalar) tensor through the tape."""
@@ -177,10 +123,6 @@ def _make(data, parents, vjp):
     return Tensor(data)
 
 
-def constant(data):
-    return Tensor(data)
-
-
 def _unbroadcast(g, shape):
     """Sum gradient g down to `shape` after numpy broadcasting."""
     if g.shape == shape:
@@ -207,19 +149,6 @@ def add(a, b):
     return _make(data, (a,), lambda g: (_unbroadcast(g, a.data.shape),))
 
 
-def sub(a, b):
-    if isinstance(b, Tensor):
-        data = a.data - b.data
-        return _make(data, (a, b), lambda g: (_unbroadcast(g, a.data.shape),
-                                              _unbroadcast(-g, b.data.shape)))
-    data = a.data - b
-    return _make(data, (a,), lambda g: (_unbroadcast(g, a.data.shape),))
-
-
-def neg(a):
-    return _make(-a.data, (a,), lambda g: (-g,))
-
-
 def mul(a, b):
     if isinstance(b, Tensor):
         data = a.data * b.data
@@ -231,33 +160,25 @@ def mul(a, b):
 
 
 def matmul(a, b, bias=None):
-    """a @ b, plus `bias` when given, as one tape op; `nn.linear` is its bias form.
+    """a @ b for a 2-D b (a weight), plus `bias` when given, as one tape op.
 
-    The bias is added in place to the product, so the tape keeps no separate
-    product array.  With a 2-D b (a weight), the leading axes of a are
+    This is the linear layer of every model.  The leading axes of a are
     flattened into the rows of one matrix product, forward and backward.
-    The gradient of a is skipped when a does not require one (the input of
-    a model's first layer).
+    The bias is added in place to the product, so the tape keeps no separate
+    product array.  The gradient of a is skipped when a does not require one
+    (the input of a model's first layer).
     """
     ad, bd = a.data, b.data
-    if bd.ndim == 2:
-        data = (ad.reshape(-1, ad.shape[-1]) @ bd).reshape(ad.shape[:-1] + bd.shape[-1:])
-    else:
-        data = ad @ bd
+    data = (ad.reshape(-1, ad.shape[-1]) @ bd).reshape(ad.shape[:-1] + bd.shape[-1:])
     if bias is not None:
         data += bias.data
 
     def vjp(g):
         ga = None
-        if bd.ndim == 2:
-            g = g.reshape(-1, bd.shape[-1])
-            if a.requires_grad:
-                ga = (g @ bd.T).reshape(ad.shape)
-            gb = ad.reshape(-1, ad.shape[-1]).T @ g
-        else:
-            if a.requires_grad:
-                ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape)
-            gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, bd.shape)
+        g = g.reshape(-1, bd.shape[-1])
+        if a.requires_grad:
+            ga = (g @ bd.T).reshape(ad.shape)
+        gb = ad.reshape(-1, ad.shape[-1]).T @ g
         if bias is None:
             return ga, gb
         return ga, gb, _unbroadcast(g, bias.data.shape)
@@ -438,27 +359,15 @@ def slice_axis(a, axis, start, stop):
     return _make(a.data[idx], (a,), vjp)
 
 
-def sum_(a, axis=None, keepdims=False):
+def sum_(a):
+    """Sum of every element: a scalar."""
     shape = a.data.shape
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape).copy(),)
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, shape).copy(),)
-
-    return _make(data, (a,), vjp)
+    return _make(a.data.sum(), (a,), lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
-def mean_(a, axis=None, keepdims=False):
-    shape = a.data.shape
-    if axis is None:
-        n = a.data.size
-    else:
-        n = np.prod([shape[ax] for ax in np.atleast_1d(axis)])
-    return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / float(n))
+def mean_(a):
+    """Mean of every element: a scalar."""
+    return mul(sum_(a), 1.0 / float(a.data.size))
 
 
 def embedding(table, idx):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autograd as ag
 from .errors import ConfigError, DimensionMismatchError, NumericalFailureError
-from .nn import ParamStore, linear, normal_init
+from .nn import ParamStore, normal_init
 from .rope3d import RopeConfig, apply_rotation
 
 
@@ -119,8 +119,8 @@ class Backbone:
     def timestep_embedding_t(self, t: float) -> ag.Tensor:
         p = self.prefix
         feats = ag.Tensor(timestep_features(t, self.config.width, self.store.dtype))
-        h = ag.gelu(linear(feats, self.store[f"{p}.t.w1"], self.store[f"{p}.t.b1"]))
-        return linear(h, self.store[f"{p}.t.w2"], self.store[f"{p}.t.b2"])  # [1, d]
+        h = ag.gelu(ag.matmul(feats, self.store[f"{p}.t.w1"], self.store[f"{p}.t.b1"]))
+        return ag.matmul(h, self.store[f"{p}.t.w2"], self.store[f"{p}.t.b2"])  # [1, d]
 
     # -- forward -------------------------------------------------------------
 
@@ -139,7 +139,7 @@ class Backbone:
             raise DimensionMismatchError(
                 f"tokens have width {tokens.shape[1]}, backbone expects {cfg.in_channels}")
         rope = cfg.rope()
-        x = linear(tokens, self.store[f"{p}.in.w"], self.store[f"{p}.in.b"])
+        x = ag.matmul(tokens, self.store[f"{p}.in.w"], self.store[f"{p}.in.b"])
         if video_cond is not None:
             if video_cond.shape != x.shape:
                 raise DimensionMismatchError(
@@ -150,12 +150,12 @@ class Backbone:
         d = cfg.width
         for i in range(cfg.blocks):
             b = f"{p}.blk{i}"
-            mod = linear(e, self.store[f"{b}.mod.w"], self.store[f"{b}.mod.b"])
+            mod = ag.matmul(e, self.store[f"{b}.mod.w"], self.store[f"{b}.mod.b"])
             parts = [ag.slice_axis(mod, 1, j * d, (j + 1) * d) for j in range(9)]
             # self-attention over latent tokens with rotary q/k
             h = ag.layer_norm(x, self.store[f"{b}.ln1.g"], self.store[f"{b}.ln1.b"])
             h = ag.add(ag.mul(h, ag.add(parts[1], 1.0)), parts[0])
-            qkv = linear(h, self.store[f"{b}.qkv.w"], self.store[f"{b}.qkv.b"])
+            qkv = ag.matmul(h, self.store[f"{b}.qkv.w"], self.store[f"{b}.qkv.b"])
             qkv = ag.reshape(qkv, (L, 3, cfg.heads, cfg.head_dim))
             q = ag.reshape(ag.slice_axis(qkv, 1, 0, 1), (L, cfg.heads, cfg.head_dim))
             k = ag.reshape(ag.slice_axis(qkv, 1, 1, 2), (L, cfg.heads, cfg.head_dim))
@@ -164,32 +164,33 @@ class Backbone:
             k = apply_rotation(k, rope_cos, rope_sin, rope)
             o = self._attend(ag.transpose(q, (1, 0, 2)), ag.transpose(k, (1, 0, 2)),
                              ag.transpose(v, (1, 0, 2)))
-            o = linear(self._merge_heads(o, L), self.store[f"{b}.ao.w"], self.store[f"{b}.ao.b"])
+            o = ag.matmul(self._merge_heads(o, L), self.store[f"{b}.ao.w"],
+                          self.store[f"{b}.ao.b"])
             x = ag.add(x, ag.mul(o, parts[2]))
             # cross-attention to the fused prompt
             if n_text:
                 h = ag.layer_norm(x, self.store[f"{b}.ln2.g"], self.store[f"{b}.ln2.b"])
                 h = ag.add(ag.mul(h, ag.add(parts[4], 1.0)), parts[3])
-                q = self._split_heads(linear(h, self.store[f"{b}.xq.w"],
-                                             self.store[f"{b}.xq.b"]), L)
-                kv = linear(prompt, self.store[f"{b}.xkv.w"], self.store[f"{b}.xkv.b"])
+                q = self._split_heads(ag.matmul(h, self.store[f"{b}.xq.w"],
+                                                self.store[f"{b}.xq.b"]), L)
+                kv = ag.matmul(prompt, self.store[f"{b}.xkv.w"], self.store[f"{b}.xkv.b"])
                 kv = ag.reshape(kv, (n_text, 2, cfg.heads, cfg.head_dim))
                 k = ag.transpose(ag.reshape(ag.slice_axis(kv, 1, 0, 1),
                                             (n_text, cfg.heads, cfg.head_dim)), (1, 0, 2))
                 v = ag.transpose(ag.reshape(ag.slice_axis(kv, 1, 1, 2),
                                             (n_text, cfg.heads, cfg.head_dim)), (1, 0, 2))
                 o = self._attend(q, k, v)
-                o = linear(self._merge_heads(o, L), self.store[f"{b}.xo.w"],
-                           self.store[f"{b}.xo.b"])
+                o = ag.matmul(self._merge_heads(o, L), self.store[f"{b}.xo.w"],
+                              self.store[f"{b}.xo.b"])
                 x = ag.add(x, ag.mul(o, parts[5]))
             # feed-forward
             h = ag.layer_norm(x, self.store[f"{b}.ln3.g"], self.store[f"{b}.ln3.b"])
             h = ag.add(ag.mul(h, ag.add(parts[7], 1.0)), parts[6])
-            h = ag.gelu(linear(h, self.store[f"{b}.mlp.w1"], self.store[f"{b}.mlp.b1"]))
-            h = linear(h, self.store[f"{b}.mlp.w2"], self.store[f"{b}.mlp.b2"])
+            h = ag.gelu(ag.matmul(h, self.store[f"{b}.mlp.w1"], self.store[f"{b}.mlp.b1"]))
+            h = ag.matmul(h, self.store[f"{b}.mlp.w2"], self.store[f"{b}.mlp.b2"])
             x = ag.add(x, ag.mul(h, parts[8]))
         x = ag.layer_norm(x, self.store[f"{p}.final.g"], self.store[f"{p}.final.b"])
-        out = linear(x, self.store[f"{p}.out.w"], self.store[f"{p}.out.b"])
+        out = ag.matmul(x, self.store[f"{p}.out.w"], self.store[f"{p}.out.b"])
         if not np.isfinite(out.data).all():
             raise NumericalFailureError("backbone produced NaN/Inf activations")
         return out

@@ -16,8 +16,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .audio_net import load_track
 from .container import load_container
 from .errors import ConfigError, HCustomError
@@ -25,11 +23,11 @@ from .eval_metrics import EvalRef, evaluate
 from .flow_match import SamplerConfig
 from .latent_codec import PixelVideo
 from .model import load_checkpoint
-from .pipeline import (ABLATION_AXES, apply_overrides, run_ablation,
-                       run_generate_data, run_training, sample_to_pixel)
+from .pipeline import (ABLATION_AXES, apply_overrides, run_ablation, run_training,
+                       sample_to_pixel)
 from .prompt_fusion import PromptSpec, Template
 from .rope3d import sequence_positions
-from .synth_data import SceneParams, load_sample
+from .synth_data import SceneParams, generate_dataset, load_sample
 from .video_inject import ConditionVideo
 
 
@@ -52,8 +50,8 @@ def cmd_gen_data(args) -> int:
     out = os.environ.get("HCUSTOM_OUT") or args.out
     scene = SceneParams(frames=args.frames, size=args.size,
                         caption_style=args.caption_style)
-    paths = run_generate_data(out, args.count, args.seed, scene,
-                              subjects_per_sample=args.subjects)
+    paths = generate_dataset(out, args.count, args.seed, scene,
+                             subjects_per_sample=args.subjects)
     _emit(event="gen-data", count=len(paths), out=out)
     return 0
 
@@ -143,6 +141,8 @@ def cmd_inspect_positions(args) -> int:
         w, h, f = (int(x) for x in args.latent.lower().split("x"))
     except ValueError:
         raise ConfigError("--latent", f"expected WxHxF, got {args.latent!r}")
+    if args.subjects < 0:
+        raise ConfigError("--subjects", f"must be >= 0, got {args.subjects}")
     print(f"{'segment':<12} {'t':>4} {'x':>4} {'y':>4}")
     for t, x, y in sequence_positions(args.subjects, f, w, h):
         segment = "video" if t >= 0 else f"identity-{-t}"

@@ -4,22 +4,19 @@ Convention fixed project-wide: t = 0 is pure noise, t = 1 is data, so the
 linear path z_t = (1-t) z_0 + t z_1 has constant velocity u = z_1 - z_0
 pointing toward the data.  Only video tokens are noised and only video
 tokens enter the loss; identity tokens stay clean during training and are
-held fixed by the sampler.
+held fixed by the sampler.  Training runs through `nn.fit`: this module
+supplies the per-item loss and the per-step Philox generator.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autograd as ag
-from .errors import NumericalFailureError
 from .model import CustomVideoModel, PreparedSample
-from .nn import Adam
-
-DIVERGENCE_LIMIT = 1e3
+from .nn import fit
 
 
 @dataclass(frozen=True)
@@ -68,7 +65,7 @@ def flow_loss_t(model: CustomVideoModel, ps: PreparedSample, t: float,
     v = model.velocity_t(ps, ag.Tensor(zt.astype(model.store.dtype)), t)
     n_id = v.shape[0] - ps.n_video_tokens
     v_video = ag.slice_axis(v, 0, n_id, v.shape[0]) if n_id else v
-    diff = ag.sub(v_video, u.astype(model.store.dtype))
+    diff = ag.add(v_video, -u.astype(model.store.dtype))
     return ag.mean_(ag.mul(diff, diff))
 
 
@@ -79,47 +76,23 @@ def _step_rng(seed: int, step: int) -> np.random.Generator:
 def train_flow(model: CustomVideoModel, samples: list[PreparedSample], *,
                steps: int, batch_size: int = 2, learning_rate: float = 1e-3,
                clip_norm: float = 1.0, schedule: NoiseSchedule = NoiseSchedule(),
-               seed: int = 0, checkpoint_cb=None, checkpoint_every: int | None = None,
-               log=None) -> list[float]:
-    """Seed-deterministic training loop; returns the loss curve.
+               seed: int = 0, log=None) -> list[float]:
+    """Seed-deterministic flow training through `nn.fit`; returns the loss curve.
 
-    Every random draw comes from a per-step counter-based generator keyed on
-    (seed, step), so two runs with the same arguments produce identical
-    curves and identical parameters.  `log`, if given, is called after each
-    step with the step, its loss, the wall time since the start, the global
-    gradient norm before clipping and whether clipping scaled it down.
+    Step s draws from `_step_rng(seed, s)`, a counter-based generator keyed
+    on (seed, step): the batch, then per item a timestep and its noise, so
+    two runs with the same arguments produce identical curves and identical
+    parameters.  `log` receives `fit`'s per-step events.
     """
-    if not samples:
-        raise ValueError("dataset is empty")
-    opt = Adam(model.store, lr=learning_rate, clip_norm=clip_norm)
-    losses = []
-    t_start = time.monotonic()
-    for step in range(steps):
-        rng = _step_rng(seed, step)
-        idx = rng.choice(len(samples), size=min(batch_size, len(samples)), replace=False)
-        model.store.zero_grad()
-        total = 0.0
-        for i in idx:
-            ps = samples[int(i)]
-            t = schedule.sample_t(rng)
-            z0 = rng.standard_normal(ps.z1.shape).astype(model.store.dtype)
-            loss = ag.mul(flow_loss_t(model, ps, t, z0), 1.0 / len(idx))
-            loss.backward()
-            total += float(loss.data)
-        if not np.isfinite(total):
-            raise NumericalFailureError(f"loss became non-finite at step {step}")
-        if total > DIVERGENCE_LIMIT:
-            raise NumericalFailureError(f"training diverged at step {step}: loss={total}")
-        grad_norm = opt.step()
-        losses.append(total)
-        if log is not None:
-            log(step=step, loss=total, wall_time=time.monotonic() - t_start,
-                grad_norm=grad_norm,
-                clipped=clip_norm is not None and grad_norm > clip_norm)
-        if (checkpoint_cb is not None and checkpoint_every
-                and (step + 1) % checkpoint_every == 0):
-            checkpoint_cb(step + 1)
-    return losses
+    def item_loss(i, rng):
+        ps = samples[i]
+        t = schedule.sample_t(rng)
+        z0 = rng.standard_normal(ps.z1.shape).astype(model.store.dtype)
+        return flow_loss_t(model, ps, t, z0)
+
+    return fit(model.store, len(samples), item_loss, lambda step: _step_rng(seed, step),
+               steps=steps, batch_size=batch_size, learning_rate=learning_rate,
+               clip_norm=clip_norm, log=log)
 
 
 def sample_flow(model: CustomVideoModel, ps: PreparedSample,

@@ -26,12 +26,14 @@ blocks of output channels; the blocks are interleaved by depth-to-space
 (`_upsample_conv`).  The function and the 3x3 parameters are those of
 upsample-then-conv; the conv does under half the multiply-adds and the
 4x-larger upsampled input is never built.
+
+Training runs through `nn.fit`: `train_codec` supplies the per-window L1
+loss and the per-step PCG64 generator.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 from scipy import ndimage
@@ -39,12 +41,13 @@ from scipy import ndimage
 from . import autograd as ag
 from .container import load_container, save_container
 from .errors import ConfigError, ConfigMismatchError, DimensionMismatchError
-from .nn import Adam, ParamStore, conv_init, linear, normal_init
+from .nn import ParamStore, conv_init, fit, normal_init
 
 TEMPORAL_STRIDE = 4
 PIXEL_MEAN = 0.5            # pixels are centered on mid-gray before encoding
 TRAIN_WINDOW = 1 + TEMPORAL_STRIDE  # a first frame plus one full group
 FOCUS_DILATION = 3          # pixels the codec's focus masks grow by
+FOCUS_WEIGHT = 3.0          # extra weight of the error inside a focus mask
 
 
 @dataclass
@@ -126,9 +129,6 @@ class CodecConfig:
         if s < 2 or (s & (s - 1)) != 0:
             raise ConfigError("spatial_factor", f"must be a power of two >= 2, got {s}")
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
     @classmethod
     def from_dict(cls, d: dict) -> "CodecConfig":
         return cls(**d)
@@ -201,8 +201,8 @@ class LatentCodec:
 
     def _spatial_encode(self, x: ag.Tensor) -> ag.Tensor:
         x = ag.add(x, -PIXEL_MEAN)
-        patches = linear(_space_to_depth(x, self.config.spatial_factor),
-                         self.store["enc.patch.w"])
+        patches = ag.matmul(_space_to_depth(x, self.config.spatial_factor),
+                            self.store["enc.patch.w"])
         for i in range(len(self._stage_channels())):
             x = ag.conv2d(x, self.store[f"enc.conv{i}.w"], self.store[f"enc.conv{i}.b"],
                           stride=2, pad=1)
@@ -230,8 +230,8 @@ class LatentCodec:
         fp = x.shape[0]
         feats = self._spatial_encode(x)  # [f', h, w, cs]
         h, w, cs = feats.shape[1], feats.shape[2], feats.shape[3]
-        first = linear(ag.slice_axis(feats, 0, 0, 1),
-                       self.store["enc.first.w"], self.store["enc.first.b"])
+        first = ag.matmul(ag.slice_axis(feats, 0, 0, 1),
+                          self.store["enc.first.w"], self.store["enc.first.b"])
         f = latent_frame_count(fp)
         if f == 1:
             return first
@@ -240,19 +240,19 @@ class LatentCodec:
         gathered = ag.reshape(gathered, (f - 1, TEMPORAL_STRIDE, h, w, cs))
         gathered = ag.transpose(gathered, (0, 2, 3, 1, 4))
         stacked = ag.reshape(gathered, (f - 1, h, w, TEMPORAL_STRIDE * cs))
-        rest = linear(stacked, self.store["enc.group.w"], self.store["enc.group.b"])
+        rest = ag.matmul(stacked, self.store["enc.group.w"], self.store["enc.group.b"])
         return ag.concat([first, rest], axis=0)
 
     def decode_t(self, z: ag.Tensor) -> ag.Tensor:
         """Taped decode of [f,h,w,c] to unclamped [4(f-1)+1,H,W,3]."""
         f = z.shape[0]
         cs = self._stage_channels()[-1]
-        first = linear(ag.slice_axis(z, 0, 0, 1),
-                       self.store["dec.first.w"], self.store["dec.first.b"])
+        first = ag.matmul(ag.slice_axis(z, 0, 0, 1),
+                          self.store["dec.first.w"], self.store["dec.first.b"])
         feats = [first]
         if f > 1:
             rest = ag.slice_axis(z, 0, 1, f)
-            group = linear(rest, self.store["dec.group.w"], self.store["dec.group.b"])
+            group = ag.matmul(rest, self.store["dec.group.w"], self.store["dec.group.b"])
             h, w = z.shape[1], z.shape[2]
             group = ag.reshape(group, (f - 1, h, w, TEMPORAL_STRIDE, cs))
             group = ag.transpose(group, (0, 3, 1, 2, 4))
@@ -264,7 +264,7 @@ class LatentCodec:
         x = ag.conv2d(x, self.store["dec.out.w"], self.store["dec.out.b"],
                       stride=1, pad=1)
         x = _depth_to_space(x, 2)
-        patches = _depth_to_space(linear(feats, self.store["dec.patch.w"]),
+        patches = _depth_to_space(ag.matmul(feats, self.store["dec.patch.w"]),
                                   self.config.spatial_factor)
         return ag.add(ag.add(x, patches), PIXEL_MEAN)
 
@@ -381,16 +381,18 @@ def untokenize(tokens: np.ndarray, f: int, h: int, w: int) -> LatentVideo:
 
 def train_codec(codec: LatentCodec, videos: list[PixelVideo], steps: int,
                 batch_size: int = 2, learning_rate: float = 1e-3, seed: int = 0,
-                focus_masks: list[np.ndarray] | None = None, focus_weight: float = 4.0,
-                log=None) -> list[float]:
-    """Overfit the autoencoder on a video set; returns the loss curve.
+                focus_masks: list[np.ndarray] | None = None,
+                focus_weight: float = FOCUS_WEIGHT, log=None) -> list[float]:
+    """Overfit the autoencoder on a video set through `nn.fit`; returns the loss curve.
 
+    Step s draws from a PCG64 generator seeded with seed * 1_000_003 + s.
     Each step reconstructs, per chosen video, a random window of
     TRAIN_WINDOW frames: one frame through the first-frame path and one
     full group through the group path.  Every latent frame is built from a
     disjoint frame group, so a window trains both paths exactly as a whole
     clip would, at a fraction of the cost.  The loss is the mean absolute
-    error, which keeps edges sharper than squared error.
+    error, which keeps edges sharper than squared error.  `log` receives
+    `fit`'s per-step events.
 
     `focus_masks` (per-video [f',H,W] in {0,1}) upweight the reconstruction
     error inside the masked region, dilated by FOCUS_DILATION pixels so
@@ -404,31 +406,23 @@ def train_codec(codec: LatentCodec, videos: list[PixelVideo], steps: int,
         focus_masks = [ndimage.binary_dilation(np.asarray(m, dtype=bool), grow,
                                                iterations=FOCUS_DILATION)
                        for m in focus_masks]
-    opt = Adam(codec.store, lr=learning_rate, clip_norm=1.0)
-    losses = []
-    for step in range(steps):
-        rng = np.random.default_rng(np.random.PCG64(seed * 1_000_003 + step))
-        idx = rng.choice(len(videos), size=min(batch_size, len(videos)), replace=False)
-        codec.store.zero_grad()
-        total = 0.0
-        for i in idx:
-            frames = videos[i].data
-            start = int(rng.integers(max(frames.shape[0] - TRAIN_WINDOW, 0) + 1))
-            stop = start + TRAIN_WINDOW
-            x = ag.Tensor(frames[start:stop].astype(codec.store.dtype))
-            recon = codec.decode_t(codec.encode_t(x))
-            n_out = recon.shape[0]
-            diff = ag.sub(recon, x.data[:n_out])
-            err = ag.mul(diff, np.sign(diff.data))
-            if focus_masks is not None:
-                w = 1.0 + focus_weight * focus_masks[i][start:stop][:n_out, :, :, None]
-                w = (w / w.mean()).astype(codec.store.dtype)
-                err = ag.mul(err, w)
-            loss = ag.mul(ag.mean_(err), 1.0 / len(idx))
-            loss.backward()
-            total += float(loss.data)
-        opt.step()
-        losses.append(total)
-        if log is not None and (step % 50 == 0 or step == steps - 1):
-            log(step, total)
-    return losses
+
+    def item_loss(i, rng):
+        frames = videos[i].data
+        start = int(rng.integers(max(frames.shape[0] - TRAIN_WINDOW, 0) + 1))
+        stop = start + TRAIN_WINDOW
+        x = ag.Tensor(frames[start:stop].astype(codec.store.dtype))
+        recon = codec.decode_t(codec.encode_t(x))
+        n_out = recon.shape[0]
+        diff = ag.add(recon, -x.data[:n_out])
+        err = ag.mul(diff, np.sign(diff.data))
+        if focus_masks is not None:
+            w = 1.0 + focus_weight * focus_masks[i][start:stop][:n_out, :, :, None]
+            w = (w / w.mean()).astype(codec.store.dtype)
+            err = ag.mul(err, w)
+        return ag.mean_(err)
+
+    return fit(codec.store, len(videos), item_loss,
+               lambda step: np.random.default_rng(np.random.PCG64(seed * 1_000_003 + step)),
+               steps=steps, batch_size=batch_size, learning_rate=learning_rate,
+               clip_norm=1.0, log=log)

@@ -206,6 +206,8 @@ class CustomVideoModel:
                 raise ConfigError("frames", "need either a video or an explicit frame count")
             f = latent_frame_count(frames)
             if size is not None:
+                if min(size) < 1 or size[0] % s or size[1] % s:
+                    raise ConfigError("size", f"{size} is not a positive multiple of {s}")
                 h, w = size[0] // s, size[1] // s
             elif identity_images:
                 h = identity_images[0].height // s

@@ -1,10 +1,16 @@
-"""Parameter bookkeeping, initializers, and the Adam optimizer."""
+"""Parameters, initializers, the Adam optimizer, and `fit`: the one training
+loop, to which each trainer hands a per-item loss and a per-step generator."""
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
-from .autograd import Tensor, matmul
+from .autograd import Tensor, mul
+from .errors import NumericalFailureError
+
+DIVERGENCE_LIMIT = 1e3
 
 
 class ParamStore:
@@ -42,9 +48,6 @@ class ParamStore:
         for _, p in self.items():
             p.grad = None
 
-    def num_parameters(self) -> int:
-        return sum(p.data.size for p in self._params.values())
-
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.items()}
 
@@ -70,11 +73,6 @@ def normal_init(rng: np.random.Generator, shape, std=None):
 def conv_init(rng: np.random.Generator, kh, kw, cin, cout):
     std = 1.0 / np.sqrt(kh * kw * cin)
     return rng.normal(0.0, std, size=(kh, kw, cin, cout))
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x w + b over the last axis of x: one tape op, `matmul` with its bias."""
-    return matmul(x, w, b)
 
 
 class Adam:
@@ -118,3 +116,42 @@ class Adam:
             v += (1.0 - self.b2) * (g * g)
             p.data = p.data - self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
         return norm
+
+
+def fit(store: ParamStore, count: int, item_loss, step_rng, *, steps: int,
+        batch_size: int, learning_rate: float, clip_norm: float | None,
+        log=None) -> list[float]:
+    """Train the parameters of `store` with Adam; returns the loss curve.
+
+    Step s draws `rng = step_rng(s)`, then min(batch_size, count) distinct
+    items from it, and backpropagates `item_loss(i, rng) / batch` for each
+    item in draw order (`item_loss` takes its own draws from the same rng).
+    A summed loss that is not finite or exceeds DIVERGENCE_LIMIT raises
+    NumericalFailureError before the update.  `log` gets each step's loss,
+    wall time, gradient norm before clipping, and whether clipping applied.
+    """
+    if count < 1:
+        raise ValueError("dataset is empty")
+    opt = Adam(store, lr=learning_rate, clip_norm=clip_norm)
+    losses = []
+    t_start = time.monotonic()
+    for step in range(steps):
+        rng = step_rng(step)
+        idx = rng.choice(count, size=min(batch_size, count), replace=False)
+        store.zero_grad()
+        total = 0.0
+        for i in idx:
+            loss = mul(item_loss(int(i), rng), 1.0 / len(idx))
+            loss.backward()
+            total += float(loss.data)
+        if not np.isfinite(total):
+            raise NumericalFailureError(f"loss became non-finite at step {step}")
+        if total > DIVERGENCE_LIMIT:
+            raise NumericalFailureError(f"training diverged at step {step}: loss={total}")
+        grad_norm = opt.step()
+        losses.append(total)
+        if log is not None:
+            log(step=step, loss=total, wall_time=time.monotonic() - t_start,
+                grad_norm=grad_norm,
+                clipped=clip_norm is not None and grad_norm > clip_norm)
+    return losses

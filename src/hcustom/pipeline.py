@@ -12,23 +12,21 @@ from __future__ import annotations
 import copy
 import json
 import os
-import time
-from dataclasses import asdict
 
 import numpy as np
 
 from .audio_net import AudioInjectConfig
 from .backbone import BackboneConfig
 from .errors import ConfigError
-from .eval_metrics import (EvalRef, MetricsReport, evaluate, frame_error,
+from .eval_metrics import (EvalRef, evaluate, frame_error,
                            masked_region_error)
 from .flow_match import NoiseSchedule, SamplerConfig, sample_flow, train_flow
-from .latent_codec import (CodecConfig, LatentCodec, PixelVideo, tokenize, train_codec,
-                           untokenize)
+from .latent_codec import (FOCUS_WEIGHT, CodecConfig, LatentCodec, PixelVideo, tokenize,
+                           train_codec, untokenize)
 from .model import (CustomVideoModel, LatentStats, ModelConfig, PreparedSample,
-                    load_checkpoint, save_checkpoint)
+                    save_checkpoint)
 from .prompt_fusion import PromptSpec, Template
-from .synth_data import SceneParams, TrainSample, generate_dataset, load_dataset
+from .synth_data import TrainSample, load_dataset
 from .video_inject import ConditionVideo
 
 TASKS = ("t2v", "single_subject", "multi_subject", "audio_custom", "video_custom")
@@ -229,15 +227,12 @@ def run_training(cfg: dict, log=None, codec: LatentCodec | None = None) -> dict:
     codec_losses = []
     if codec is None:
         codec = LatentCodec(codec_config)
-        t0 = time.monotonic()
         codec_videos, codec_masks = codec_training_set(samples)
         codec_losses = train_codec(
             codec, codec_videos, steps=c["train_steps"], batch_size=c["batch_size"],
             learning_rate=c["learning_rate"], seed=cfg["seed"],
-            focus_masks=codec_masks, focus_weight=c.get("focus_weight", 3.0),
-            log=(lambda step, loss: log(stage="codec", step=step, loss=loss,
-                                        wall_time=time.monotonic() - t0))
-            if log else None)
+            focus_masks=codec_masks, focus_weight=c.get("focus_weight", FOCUS_WEIGHT),
+            log=(lambda **kw: log(stage="codec", **kw)) if log else None)
     elif codec.config != codec_config:
         raise ConfigError("codec", "the given codec was built from another codec config")
     stats = compute_latent_stats(codec, samples)
@@ -246,18 +241,21 @@ def run_training(cfg: dict, log=None, codec: LatentCodec | None = None) -> dict:
                                cfg["template"])
     tr = cfg["train"]
     ckpt_path = os.path.join(out_dir, "checkpoint.hc")
+    every = tr["checkpoint_every"]
 
-    def save_intermediate(step):
-        save_checkpoint(os.path.join(out_dir, f"checkpoint_step{step:06d}.hc"),
-                        model, codec, stats, step)
+    def flow_step_done(**event):
+        if log:
+            log(stage="flow", **event)
+        step = event["step"] + 1
+        if every and step % every == 0:
+            save_checkpoint(os.path.join(out_dir, f"checkpoint_step{step:06d}.hc"),
+                            model, codec, stats, step)
 
     losses = train_flow(
         model, prepared, steps=tr["steps"], batch_size=tr["batch_size"],
         learning_rate=tr["learning_rate"], clip_norm=tr["clip_norm"],
         schedule=NoiseSchedule(**cfg["schedule"]), seed=cfg["seed"],
-        checkpoint_cb=save_intermediate if tr["checkpoint_every"] else None,
-        checkpoint_every=tr["checkpoint_every"] or None,
-        log=(lambda **kw: log(stage="flow", **kw)) if log else None)
+        log=flow_step_done)
     save_checkpoint(ckpt_path, model, codec, stats, step=tr["steps"],
                     extra_meta={"task": cfg["task"]})
     curve_path = os.path.join(out_dir, "loss_curve.csv")
@@ -355,9 +353,3 @@ def run_ablation(cfg: dict, axis: str, log=None, n_eval: int = 8,
     report["_base_result"] = base
     report["_variant_result"] = variant
     return report
-
-
-def run_generate_data(out_dir: str, count: int, seed: int,
-                      scene: SceneParams = SceneParams(),
-                      subjects_per_sample: int = 1) -> list[str]:
-    return generate_dataset(out_dir, count, seed, scene, subjects_per_sample)

@@ -21,7 +21,7 @@ import numpy as np
 from . import autograd as ag
 from .errors import DuplicateDescriptorError, MissingDescriptorError, TemplateError
 from .latent_codec import PixelVideo
-from .nn import ParamStore, linear, normal_init
+from .nn import ParamStore, normal_init
 
 IMAGE_GRID = 24
 IMAGE_TOKENS = IMAGE_GRID * IMAGE_GRID  # 576
@@ -171,8 +171,8 @@ class ToyMultimodalEncoder:
 
     def encode_image_t(self, image: PixelVideo) -> ag.Tensor:
         pooled = ag.Tensor(self._pooled(image))
-        return linear(pooled, self.store[f"{self.prefix}.image.w"],
-                      self.store[f"{self.prefix}.image.b"])
+        return ag.matmul(pooled, self.store[f"{self.prefix}.image.w"],
+                         self.store[f"{self.prefix}.image.b"])
 
 
 def toy_encoder(seed: int = 0, d_text: int = 128) -> ToyMultimodalEncoder:

@@ -30,7 +30,7 @@ import numpy as np
 from . import autograd as ag
 from .errors import DimensionMismatchError
 from .latent_codec import LatentCodec, PixelVideo, tokenize
-from .nn import ParamStore, linear, normal_init
+from .nn import ParamStore, normal_init
 
 BLANK_VALUE = 0.5
 
@@ -87,7 +87,8 @@ class AlignmentNet:
     def forward_t(self, tokens: ag.Tensor) -> ag.Tensor:
         x = tokens
         for i in range(self.NUM_LAYERS):
-            x = linear(x, self.store[f"{self.prefix}.l{i}.w"], self.store[f"{self.prefix}.l{i}.b"])
+            x = ag.matmul(x, self.store[f"{self.prefix}.l{i}.w"],
+                          self.store[f"{self.prefix}.l{i}.b"])
             if i < self.NUM_LAYERS - 1:
                 x = ag.gelu(x)
         return x
@@ -116,4 +117,5 @@ class ConcatCompressor:
             raise DimensionMismatchError(
                 f"condition tokens {condition.shape[0]} != video tokens {video.shape[0]}")
         stacked = ag.concat([video, condition], axis=1)
-        return linear(stacked, self.store[f"{self.prefix}.w"], self.store[f"{self.prefix}.b"])
+        return ag.matmul(stacked, self.store[f"{self.prefix}.w"],
+                         self.store[f"{self.prefix}.b"])

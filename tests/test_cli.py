@@ -47,8 +47,17 @@ def test_gen_data_wrote_manifest(workspace):
 def test_train_and_sample_cli(workspace, capsys):
     root, data, cfg_path = workspace
     rc = main(["train", "--config", str(cfg_path)])
-    out = capsys.readouterr().out.strip()
+    captured = capsys.readouterr()
+    out = captured.out.strip()
     assert rc == 0
+    # both stages log one record per step, with the same fields
+    records = [json.loads(line) for line in captured.err.splitlines()]
+    steps = {stage: [r for r in records if r.get("stage") == stage]
+             for stage in ("codec", "flow")}
+    assert [r["step"] for r in steps["codec"]] == list(range(TINY_CFG["codec"]["train_steps"]))
+    assert [r["step"] for r in steps["flow"]] == list(range(TINY_CFG["train"]["steps"]))
+    assert {tuple(sorted(r)) for r in steps["codec"] + steps["flow"]} == {
+        ("clipped", "grad_norm", "loss", "stage", "step", "wall_time")}
     ckpt = out.splitlines()[-1]
     assert os.path.exists(ckpt)
     assert os.path.exists(root / "run" / "loss_curve.csv")
@@ -73,6 +82,13 @@ def test_train_and_sample_cli(workspace, capsys):
                "--frames", "5", "--steps", "2", "--out", str(root / "nogrid.hc")])
     assert rc == 2
     assert "size" in capsys.readouterr().err
+
+    # a size that is not a multiple of the spatial factor (8) is a usage error
+    rc = main(["sample", "--ckpt", ckpt, "--prompt", sample.caption, "--size", "20",
+               "--frames", "5", "--steps", "2", "--out", str(root / "size20.hc")])
+    assert rc == 2
+    assert "config error: size:" in capsys.readouterr().err
+    assert not (root / "size20.hc").exists()
 
 
 @pytest.mark.parametrize("override", ["model.heads=3", "audio.lambda_a=-1",
@@ -128,6 +144,13 @@ def test_inspect_positions_output(capsys):
     assert len(ident) == 2 * 16 and len(video) == 48
     assert {r[1] for r in ident} == {"-1", "-2"}
     assert ident[0][2:] == ["4", "4"]  # shifted spatial coordinates
+
+
+def test_inspect_positions_rejects_a_negative_subject_count(capsys):
+    rc = main(["inspect-positions", "--subjects", "-2", "--latent", "2x2x1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "--subjects" in captured.err and captured.out == ""
 
 
 def test_unknown_flag_exits_2(workspace):

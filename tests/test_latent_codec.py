@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from hcustom import autograd as ag
-from hcustom.errors import ConfigMismatchError, DimensionMismatchError
+from hcustom.errors import (ConfigMismatchError, DimensionMismatchError,
+                            NumericalFailureError)
 from hcustom.latent_codec import (CodecConfig, LatentCodec, LatentVideo,
                                   PixelVideo, latent_frame_count,
                                   _upsample_conv, pixel_frame_count, tokenize,
@@ -134,6 +135,32 @@ def test_short_training_reduces_loss():
     assert losses == losses2
 
 
+def test_training_stops_on_a_non_finite_loss():
+    codec = LatentCodec(CodecConfig(spatial_factor=4, latent_channels=8,
+                                    hidden_channels=8, seed=2))
+    codec.store["enc.first.w"].data[0, 0] = np.nan
+    with pytest.raises(NumericalFailureError, match="step 0"):
+        train_codec(codec, [_video(5)], steps=3, batch_size=1, seed=0)
+
+
+def test_training_rejects_an_empty_video_set(codec):
+    with pytest.raises(ValueError, match="empty"):
+        train_codec(codec, [], steps=1)
+
+
+def test_training_logs_every_step():
+    codec = LatentCodec(CodecConfig(spatial_factor=4, latent_channels=8,
+                                    hidden_channels=8, seed=2))
+    events = []
+    losses = train_codec(codec, [_video(5), _video(5)], steps=3, batch_size=2, seed=0,
+                         log=lambda **kw: events.append(kw))
+    assert [e["step"] for e in events] == [0, 1, 2]
+    assert [e["loss"] for e in events] == losses
+    for e in events:
+        assert set(e) == {"step", "loss", "wall_time", "grad_norm", "clipped"}
+        assert e["clipped"] == (e["grad_norm"] > 1.0)
+
+
 def test_upsample_conv_matches_upsample_then_conv():
     x = rng.normal(size=(2, 5, 6, 4))
     w, b = rng.normal(size=(3, 3, 4, 6)), rng.normal(size=(6,))
@@ -164,7 +191,7 @@ def test_codec_l1_roundtrip_gradients_match_finite_differences():
     x = local.random((5, 8, 8, 3))
 
     def loss_t(xt):
-        diff = ag.sub(codec.decode_t(codec.encode_t(xt)), x)
+        diff = ag.add(codec.decode_t(codec.encode_t(xt)), -x)
         return ag.mean_(ag.mul(diff, np.sign(diff.data)))
 
     xt = ag.Tensor(x.copy(), requires_grad=True)

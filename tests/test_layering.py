@@ -1,9 +1,11 @@
 """Import layering of the package, read from its source with `ast`.
 
 Every package module imports what it needs at module level: there is no
-import cycle to break inside a function.  The backbone sees an assembled
-token sequence and an optional hidden-space condition term; it knows
-nothing of how the condition video is encoded or injected.
+import cycle to break inside a function, and no import that nothing uses.
+The backbone sees an assembled token sequence and an optional hidden-space
+condition term; it knows nothing of how the condition video is encoded or
+injected.  Only `nn.fit` trains: no other module builds an optimizer or
+runs a backward pass.
 """
 
 import ast
@@ -51,3 +53,40 @@ def test_backbone_does_not_import_video_inject():
         imported |= {m.split(".")[0] for m in _package_modules(node)}
     assert "autograd" in imported  # the scan sees the backbone's own imports
     assert "video_inject" not in imported
+
+
+def _module_imports(tree) -> dict[str, int]:
+    """Names bound by the module-level imports of a module, with their lines."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    return bound
+
+
+def test_no_unused_module_level_import():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":      # re-exports the public names
+            continue
+        tree = _parse(path)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in _module_imports(tree).items() if name not in used]
+    assert not unused, unused
+
+
+def test_only_nn_builds_an_optimizer_or_runs_backward():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            fn = node.func
+            name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+            if name in ("Adam", "backward"):
+                found.add(f"{path.name} {name}")
+    assert found == {"nn.py Adam", "nn.py backward"}, sorted(found)

@@ -63,3 +63,13 @@ def test_prepare_without_frames_or_grid_is_a_config_error(parts):
         model.prepare(codec, stats)
     with pytest.raises(ConfigError, match="size"):
         model.prepare(codec, stats, frames=5)
+
+
+@pytest.mark.parametrize("size", [(20, 20), (16, 12), (0, 16), (-8, 16)],
+                         ids=["20x20", "16x12", "0x16", "-8x16"])
+def test_prepare_rejects_a_size_off_the_latent_grid(parts, size):
+    # flooring size // spatial_factor would sample a 16x16 video for a 20x20 request
+    model, codec, stats, _ = parts
+    assert codec.config.spatial_factor == 8
+    with pytest.raises(ConfigError, match="size"):
+        model.prepare(codec, stats, frames=5, size=size)
