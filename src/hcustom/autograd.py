@@ -15,6 +15,11 @@ per row for the backward pass, which recomputes each tile.  An untaped
 `conv2d` builds its im2col columns in chunks of frames of at most `_TILE`
 elements; a taped call keeps all of them, for its VJP.  `matmul` adds a
 bias in place, so a linear layer is one tape op.
+
+Time: `attention` works on base-2 scores with exp2.  When one Cauchy-Schwarz
+bound per call proves every score within +-64, it skips the row-max pass;
+otherwise it floors the shifted scores, and the backward pass always floors
+its recomputed ones, so that no step makes subnormals.
 """
 
 from __future__ import annotations
@@ -33,6 +38,15 @@ _AS_A = tuple(0.5 * c for c in (0.254829592, -0.284496736, 1.421413741,
                                 -1.453152027, 1.061405429))
 _AS_B = tuple((k - 1) * (lo - hi)
               for k, lo, hi in zip(range(1, 7), (0.0,) + _AS_A, _AS_A + (0.0,)))
+
+# `attention` works in base 2: scores are scale * log2(e) * q k^T.  Its fast
+# path needs every score within +-_SCORE_BOUND; its row-max path and its
+# backward pass floor the shifted scores at _EXP2_FLOOR.  A weight of
+# 2^-126, the least normal float32, would still make subnormal products with
+# every |v| < 1 inside the weight product; at 2^-100 only |v| < 2^-26 does.
+_LOG2E = 1.0 / math.log(2.0)
+_SCORE_BOUND = 64.0
+_EXP2_FLOOR = -100.0
 
 # Elements in one working tile: an attention score tile (see `attention`)
 # or the im2col columns of one frame chunk of an untaped `conv2d`.
@@ -249,6 +263,21 @@ def _row_blocks(rows, per_row):
     return [slice(r, min(r + step, rows)) for r in range(0, rows, step)]
 
 
+def _scores_bounded(qs, kd, vd, dtype):
+    """Whether the fast path of `attention` is safe for these inputs.
+
+    By Cauchy-Schwarz every base-2 score qs_i . k_j lies within
+    max_i |qs_i| max_j |k_j|; when that is at most `_SCORE_BOUND`, exp2 of a
+    score is a normal float in [2^-64, 2^64], and e @ [v | 1] cannot overflow
+    unless S 2^64 max|v| does.  NaN or infinite inputs fail the test.
+    """
+    bound = math.sqrt(float(np.einsum("...i,...i->...", qs, qs).max())
+                      * float(np.einsum("...i,...i->...", kd, kd).max()))
+    vmax = float(max(vd.max(), -vd.min()))
+    return (bound <= _SCORE_BOUND
+            and vmax * kd.shape[1] * 2.0 ** _SCORE_BOUND < float(np.finfo(dtype).max))
+
+
 def attention(q, k, v, scale):
     """Fused softmax(scale * q k^T) v over batched q [B, L, dh], k/v [B, S, dh].
 
@@ -258,47 +287,63 @@ def attention(q, k, v, scale):
     equal, and a block's [B, rows, S] score tile has at most `_TILE`
     elements (a block is one row if a single row is larger), so no
     [B, L, S] array is ever allocated.  The tape keeps only the output and
-    one [B, L, 1] log-sum-exp per row (FlashAttention-2, Dao, arXiv
+    one [B, L, 1] base-2 log-sum-exp per row (FlashAttention-2, Dao, arXiv
     2307.08691):
 
-    - `scale` is folded into q, so the scores are never rescaled.
-    - Forward: e = exp(s - rowmax(s)) is left unnormalised, the tile's
-      output e v is divided by the row sums den, and the row's log-sum-exp
-      is lse = rowmax(s) + log(den).
-    - Backward: each tile is recomputed as P = exp(s - lse) (gradient
-      checkpointing, Chen et al., arXiv 1604.06174).  The softmax row term
+    - `scale * log2(e)` is folded into q, so the scores s come out in base
+      2, are never rescaled, and are exponentiated with exp2.
+    - Fast path: when `_scores_bounded` proves every |s| <= `_SCORE_BOUND`
+      (one Cauchy-Schwarz bound per call, from the largest row norms of the
+      scaled q and of k), e = exp2(s) needs no row-max shift.
+    - Row-max path, for any other input: e = exp2(max(s - rowmax(s), -100)).
+      The floor (`_EXP2_FLOOR`) keeps exp2 and e v off subnormal floats,
+      which cost 10-40x more, and changes each weight by at most 2^-100 of
+      the row's largest.
+    - Either path then takes one product e @ [v | 1], v with a column of
+      ones appended, for the unnormalised output and the row sums den
+      together; the output is divided by den, and lse = log2(den), plus
+      rowmax(s) on the row-max path.
+    - Backward: each tile is recomputed as P = exp2(max(s - lse, -100))
+      (gradient checkpointing, Chen et al., arXiv 1604.06174).  The floor
+      holds on both paths: on the fast path s - lse can reach
+      -128 - log2(S), below the least normal float32.  The softmax row term
       rowsum(dP * P), with dP = g v^T, equals rowsum(g * out): a [B, L, dh]
       product, not a score-sized one.  The score gradient of the tile is
       P * (g v^T - rowsum(g * out)); gq is written block by block, and gk
       and gv are summed over the blocks.
 
+    Either path computes the same output whether or not the call is taped.
     The VJP never writes to g.
     """
     qd, kd, vd = q.data, k.data, v.data
-    n, rows, dh = qd.shape
+    n, rows = qd.shape[:2]
     blocks = _row_blocks(rows, n * kd.shape[1])
-    qs = qd * scale
+    qs = qd * (scale * _LOG2E)
     kt = np.ascontiguousarray(np.swapaxes(kd, -1, -2))
     out = np.empty(qd.shape[:-1] + vd.shape[-1:], dtype=np.result_type(qd, kd, vd))
     lse = np.empty((n, rows, 1), dtype=out.dtype)
+    fast = _scores_bounded(qs, kd, vd, out.dtype)
+    vo = np.concatenate([vd, np.ones(vd.shape[:-1] + (1,), dtype=out.dtype)], axis=-1)
     for r in blocks:
         e = qs[:, r] @ kt
-        m = e.max(axis=-1, keepdims=True)
-        e -= m
-        np.exp(e, out=e)
-        den = e.sum(axis=-1, keepdims=True)
-        o = out[:, r]
-        np.matmul(e, vd, out=o)
-        o /= den
-        np.log(den, out=den)
-        np.add(m, den, out=lse[:, r])
+        if not fast:
+            m = e.max(axis=-1, keepdims=True)
+            e -= m
+            np.maximum(e, _EXP2_FLOOR, out=e)
+        np.exp2(e, out=e)
+        ov = e @ vo
+        den = ov[..., -1:]
+        np.divide(ov[..., :-1], den, out=out[:, r])
+        np.log2(den, out=lse[:, r])
+        if not fast:
+            lse[:, r] += m
 
     def vjp(g):
         # -lse and -rowsum(g * out) ride in one extra column of the left
         # operands, against a row of ones in the right ones, so each tile
         # product comes out shifted: s - lse, and g v^T - rowsum(g * out)
         ones = np.ones((n, 1, kd.shape[1]), dtype=out.dtype)
-        qa = np.concatenate([qd * scale, -lse], axis=-1)
+        qa = np.concatenate([qd * (scale * _LOG2E), -lse], axis=-1)
         ka = np.concatenate([np.swapaxes(kd, -1, -2), ones], axis=1)
         ga = np.concatenate([g, -(g * out).sum(axis=-1, keepdims=True)], axis=-1)
         va = np.concatenate([np.swapaxes(vd, -1, -2), ones], axis=1)
@@ -307,13 +352,15 @@ def attention(q, k, v, scale):
         gv = np.zeros_like(vd)
         for r in blocks:
             p = qa[:, r] @ ka
-            np.exp(p, out=p)
+            np.maximum(p, _EXP2_FLOOR, out=p)
+            np.exp2(p, out=p)
             gv += np.swapaxes(p, -1, -2) @ g[:, r]
             gs = ga[:, r] @ va
-            gs *= p                     # gs is now the gradient of the scaled scores
+            gs *= p                     # gs is now the gradient of scale * q k^T
             np.matmul(gs, kd, out=gq[:, r])
-            gk += np.swapaxes(gs, -1, -2) @ qa[:, r, :dh]
+            gk += np.swapaxes(gs, -1, -2) @ qd[:, r]
         gq *= scale
+        gk *= scale
         return gq, gk, gv
 
     return _make(out, (q, k, v), vjp)

@@ -79,6 +79,9 @@ def cmd_sample(args) -> int:
     lam = args.lambda_audio
     if lam is not None and not (math.isfinite(lam) and lam >= 0):
         raise ConfigError("--lambda-audio", f"must be finite and >= 0, got {lam}")
+    for flag, value in (("--frames", args.frames), ("--steps", args.steps)):
+        if value < 1:
+            raise ConfigError(flag, f"must be >= 1, got {value}")
     model, codec, stats, step, _ = load_checkpoint(args.ckpt, lambda_a=lam)
     subjects = []
     for spec in args.subject or []:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -302,6 +304,112 @@ def test_attention_preserves_float32(monkeypatch):
         assert out.data.dtype == np.float32
         ag.sum_(ag.mul(out, out)).backward()
         assert all(t.grad.dtype == np.float32 for t in ts)
+
+
+def _attention_errors(arrays, scale, dtype, seed):
+    """Worst errors of `ag.attention` at `dtype` against the float64 reference,
+    for the output and the three gradients, each relative to the largest
+    reference value; also checks that the untaped output is bitwise equal."""
+    probe = np.random.default_rng(seed).normal(size=arrays[0].shape[:-1] + arrays[2].shape[-1:])
+    ts = [ag.Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+    out = ag.attention(*ts, scale)
+    ag.sum_(ag.mul(out, probe.astype(dtype))).backward()
+    with ag.no_grad():
+        np.testing.assert_array_equal(ag.attention(*ts, scale).data, out.data)
+    ref, grads = _attention_reference(*arrays, scale, probe)
+    return [float(np.abs(got - want).max() / np.abs(want).max())
+            for got, want in zip([out.data] + [t.grad for t in ts], [ref, *grads])]
+
+
+def _aligned_scores(bound, l=6, s=5, dh=4, seed=15):
+    """q [2, l, dh] and k [2, s, dh] whose largest base-2 score at scale 1 is
+    `bound` and whose smallest is -bound: all rows have one norm, and q's
+    first two rows are k's first row and its negation."""
+    local = np.random.default_rng(seed)
+    q, k = local.normal(size=(2, l, dh)), local.normal(size=(2, s, dh))
+    q /= np.linalg.norm(q, axis=-1, keepdims=True)
+    k /= np.linalg.norm(k, axis=-1, keepdims=True)
+    q[:, 0], q[:, 1] = k[:, 0], -k[:, 0]
+    r = math.sqrt(bound / ag._LOG2E)
+    return q * r, k * r
+
+
+@pytest.mark.parametrize("bound,fast", [(63.9, True), (64.1, False)])
+def test_attention_guard_either_side_of_the_score_bound(bound, fast):
+    q, k = _aligned_scores(bound)
+    v = np.random.default_rng(16).normal(size=k.shape)
+    assert abs(ag._LOG2E * (q @ np.swapaxes(k, -1, -2)).max() - bound) < 1e-9
+    assert ag._scores_bounded(q * ag._LOG2E, k, v, np.float64) is fast
+    for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+        assert max(_attention_errors([q, k, v], 1.0, dtype, 17)) < tol
+
+
+@pytest.mark.parametrize("s", [640, 589])
+@pytest.mark.parametrize("path", ["fast", "row-max"])
+def test_attention_float32_at_the_flow_train_shape(s, path, monkeypatch):
+    # [4, 640, 32] against the self-attention (S = 640) and prompt
+    # (S = 589) keys: float32 within 1e-5 of float64 on either path
+    local = np.random.default_rng(s)
+    arrays = [local.normal(size=(4, 640, 32)), local.normal(size=(4, s, 32)),
+              local.normal(size=(4, s, 32))]
+    scale = 32 ** -0.5
+    assert ag._scores_bounded(arrays[0] * (scale * ag._LOG2E), *arrays[1:], np.float32)
+    if path == "row-max":
+        monkeypatch.setattr(ag, "_scores_bounded", lambda *args: False)
+    assert max(_attention_errors(arrays, scale, np.float32, 20)) < 1e-5
+
+
+def test_attention_large_v_takes_the_row_max_path_and_stays_finite():
+    # scores up to 60 pass the score bound, but 2^60 * 3e20 overflows
+    # float32, so e @ [v | 1] unshifted would be infinite
+    q, k = _aligned_scores(60.0)
+    v = 3e20 * np.random.default_rng(22).choice([-1.0, 1.0], size=k.shape)
+    assert not ag._scores_bounded((q * ag._LOG2E).astype(np.float32), k.astype(np.float32),
+                                  v.astype(np.float32), np.float32)
+    ts = [ag.Tensor(a.astype(np.float32)) for a in (q, k, v)]
+    out = ag.attention(*ts, 1.0).data
+    ref, _ = _attention_reference(q, k, v, 1.0, np.zeros_like(q))
+    assert np.isfinite(out).all()
+    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-5 * np.abs(ref).max())
+
+
+def test_attention_row_max_path_keeps_exp2_above_the_subnormal_range(monkeypatch):
+    # q and k at standard deviation 6 put most scores far below their row
+    # maximum; unfloored, most of the float32 weights would be subnormal
+    local = np.random.default_rng(23)
+    arrays = [6.0 * local.normal(size=(4, 576, 32)), 6.0 * local.normal(size=(4, 576, 32)),
+              local.normal(size=(4, 576, 32))]
+    smallest = []
+    exp2 = np.exp2
+
+    def spy(x, *args, **kwargs):
+        smallest.append(float(x.min()))
+        return exp2(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp2", spy)
+    assert max(_attention_errors(arrays, 32 ** -0.5, np.float32, 24)) < 1e-4
+    assert -126.0 <= ag._EXP2_FLOOR
+    assert smallest and min(smallest) >= ag._EXP2_FLOOR
+
+
+def test_attention_fast_path_backward_keeps_exp2_above_the_subnormal_range(monkeypatch):
+    # scores of +63 and -63 in one row pass the score bound, but the
+    # backward recompute s - lse of the second is about -126
+    q, k = _aligned_scores(63.0)
+    k[:, 1] = -k[:, 0]
+    v = np.random.default_rng(25).normal(size=k.shape)
+    assert ag._scores_bounded((q * ag._LOG2E).astype(np.float32), k.astype(np.float32),
+                              v.astype(np.float32), np.float32)
+    smallest = []
+    exp2 = np.exp2
+
+    def spy(x, *args, **kwargs):
+        smallest.append(float(x.min()))
+        return exp2(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp2", spy)
+    assert max(_attention_errors([q, k, v], 1.0, np.float32, 26)) < 1e-5
+    assert min(smallest) >= ag._EXP2_FLOOR
 
 
 # ---------------------------------------------------------------------------

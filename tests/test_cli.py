@@ -114,6 +114,16 @@ def test_sample_rejects_negative_lambda_before_loading(tmp_path, capsys):
     assert "--lambda-audio" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--frames", "0"), ("--frames", "-7"),
+                                        ("--steps", "0")])
+def test_sample_rejects_a_non_positive_count_before_loading(tmp_path, capsys, flag, value):
+    rc = main(["sample", "--ckpt", str(tmp_path / "missing.hc"), "--prompt", "x",
+               flag, value, "--out", str(tmp_path / "out.hc")])
+    assert rc == 2
+    assert f"config error: {flag}:" in capsys.readouterr().err
+    assert not (tmp_path / "out.hc").exists()
+
+
 def test_evaluate_cli(workspace, capsys):
     root, data, cfg_path = workspace
     videos = root / "videos"

@@ -5,11 +5,13 @@ import cycle to break inside a function, and no import that nothing uses.
 The backbone sees an assembled token sequence and an optional hidden-space
 condition term; it knows nothing of how the condition video is encoded or
 injected.  Only `nn.fit` trains: no other module builds an optimizer or
-runs a backward pass.
+runs a backward pass.  The autodiff core imports only numpy and the
+standard library.
 """
 
 import ast
 import pathlib
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "hcustom"
 
@@ -90,3 +92,15 @@ def test_only_nn_builds_an_optimizer_or_runs_backward():
             if name in ("Adam", "backward"):
                 found.add(f"{path.name} {name}")
     assert found == {"nn.py Adam", "nn.py backward"}, sorted(found)
+
+
+def test_autograd_imports_only_numpy_and_the_standard_library():
+    # the numpy-only autodiff core: no scipy, and no package module
+    imported = set()
+    for node in ast.walk(_parse(SRC / "autograd.py")):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." if node.level else node.module.split(".")[0])
+    assert "numpy" in imported
+    assert not imported - {"numpy"} - sys.stdlib_module_names, sorted(imported)
