@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autograd as ag
-from .container import load_container, save_container
 from .errors import ConfigError, DimensionMismatchError, FrameCountError
 from .nn import ParamStore, normal_init
 
@@ -82,23 +81,19 @@ class AudioInjectConfig:
             raise ConfigError("heads", "audio attention width must divide evenly into heads")
 
 
-def align_audio(audio: AudioTrack, f: int, strict: bool = True) -> AlignedAudio:
+def align_audio(audio: AudioTrack, f: int) -> AlignedAudio:
     """Front-pad with zeros to (f+1)*4 audio frames, then group by 4.
 
     Element mapping: output[g, 4a+b, :] = padded[4g+a, b, :].
     """
     fa = audio.frames
-    if strict and f != fa // GROUP + 1:
+    if f != fa // GROUP + 1:
         raise FrameCountError(
             f"audio has {fa} frames; latent frame count {f} != {fa}//4 + 1")
-    needed = (f + 1) * GROUP
-    pad = needed - fa
-    if pad >= 0:
-        padded = np.concatenate(
-            [np.zeros((pad,) + audio.data.shape[1:], dtype=audio.data.dtype),
-             audio.data], axis=0)
-    else:
-        padded = audio.data[-needed:]
+    pad = (f + 1) * GROUP - fa  # > 0 under the check above
+    padded = np.concatenate(
+        [np.zeros((pad,) + audio.data.shape[1:], dtype=audio.data.dtype), audio.data],
+        axis=0)
     out = padded.reshape(f + 1, GROUP * TOKENS_PER_AUDIO_FRAME, audio.feature_width)
     return AlignedAudio(out)
 
@@ -165,11 +160,3 @@ def inject_audio_t(latent_tokens: ag.Tensor, aligned: AlignedAudio,
     out = ag.add(framed, ag.mul(delta, lam))
     return ag.reshape(out, (total, c))
 
-
-def save_track(track: AudioTrack, path):
-    save_container(path, {"features": track.data}, meta={"kind": "audio_track"})
-
-
-def load_track(path) -> AudioTrack:
-    arrays, _ = load_container(path)
-    return AudioTrack(arrays["features"])

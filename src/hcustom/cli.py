@@ -4,8 +4,8 @@ inspect-positions.
 Exit codes: 0 success, 2 configuration/usage problems (the message names the
 offending field), 1 runtime failure.  Progress goes to stderr as
 line-delimited JSON records; artifacts land in the run's output directory.
-The HCUSTOM_OUT environment variable overrides configured output
-directories.
+The HCUSTOM_OUT environment variable overrides the output directory of
+gen-data and of the run config that train and ablate load.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import math
 import os
 import sys
 
-from .audio_net import load_track
 from .container import load_container
 from .errors import ConfigError, HCustomError
 from .eval_metrics import EvalRef, evaluate
@@ -43,7 +42,10 @@ def _load_config(path: str, overrides: list[str]) -> dict:
         raise ConfigError("config", f"file not found: {path}")
     except json.JSONDecodeError as e:
         raise ConfigError("config", f"invalid JSON in {path}: {e}")
-    return apply_overrides(cfg, overrides or [])
+    cfg = apply_overrides(cfg, overrides or [])
+    if os.environ.get("HCUSTOM_OUT"):
+        cfg["out_dir"] = os.environ["HCUSTOM_OUT"]
+    return cfg
 
 
 def cmd_gen_data(args) -> int:
@@ -68,6 +70,12 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _require_positive(*flags):
+    for flag, value in flags:
+        if value < 1:
+            raise ConfigError(flag, f"must be >= 1, got {value}")
+
+
 def _parse_subject(spec: str) -> tuple[str, str]:
     fields = dict(part.split("=", 1) for part in spec.split(",") if "=" in part)
     if "name" not in fields or "image" not in fields:
@@ -79,9 +87,7 @@ def cmd_sample(args) -> int:
     lam = args.lambda_audio
     if lam is not None and not (math.isfinite(lam) and lam >= 0):
         raise ConfigError("--lambda-audio", f"must be finite and >= 0, got {lam}")
-    for flag, value in (("--frames", args.frames), ("--steps", args.steps)):
-        if value < 1:
-            raise ConfigError(flag, f"must be >= 1, got {value}")
+    _require_positive(("--frames", args.frames), ("--steps", args.steps))
     model, codec, stats, step, _ = load_checkpoint(args.ckpt, lambda_a=lam)
     subjects = []
     for spec in args.subject or []:
@@ -90,7 +96,7 @@ def cmd_sample(args) -> int:
     template = Template.image_embedded if args.template == "embedded" \
         else Template.image_appended
     prompt_spec = PromptSpec(args.prompt, subjects, template)
-    audio = load_track(args.audio) if args.audio else None
+    audio = load_sample(args.audio).audio if args.audio else None
     condition = None
     if args.condition_video:
         mask = None
@@ -131,11 +137,12 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    _require_positive(("--eval-count", args.eval_count),
+                      ("--sampler-steps", args.sampler_steps))
     cfg = _load_config(args.config, args.set)
-    report = run_ablation(cfg, args.axis, log=_emit, n_eval=args.eval_count,
-                          sampler_steps=args.sampler_steps)
-    summary = {k: v for k, v in report.items() if not k.startswith("_")}
-    print(json.dumps(summary, indent=1, sort_keys=True, default=float))
+    report, _ = run_ablation(cfg, args.axis, n_eval=args.eval_count,
+                             sampler_steps=args.sampler_steps, log=_emit)
+    print(json.dumps(report, indent=1, sort_keys=True, default=float))
     return 0
 
 
@@ -182,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subject", action="append",
                    metavar="name=<word>,image=<path>")
     p.add_argument("--template", choices=("embedded", "appended"), default="appended")
-    p.add_argument("--audio")
+    p.add_argument("--audio", metavar="SAMPLE",
+                   help="a gen-data sample container; its audio track conditions the clip")
     p.add_argument("--lambda-audio", type=float, default=None)
     p.add_argument("--condition-video")
     p.add_argument("--condition-mask")
@@ -199,8 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", required=True)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("ablate", help="train a seed-matched pair differing in one flag")
-    p.add_argument("--axis", required=True, choices=ABLATION_AXES)
+    p = sub.add_parser("ablate", help="train a base run and one seed-matched variant "
+                                      "per --axis, each differing in one flag")
+    p.add_argument("--axis", action="append", required=True, choices=ABLATION_AXES)
     p.add_argument("--config", required=True)
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
     p.add_argument("--eval-count", type=int, default=8)

@@ -139,11 +139,6 @@ def latent_frame_count(pixel_frames: int) -> int:
     return pixel_frames // TEMPORAL_STRIDE + 1
 
 
-def pixel_frame_count(latent_frames: int) -> int:
-    """Inverse relation used by decode: f' = 4(f-1) + 1."""
-    return TEMPORAL_STRIDE * (latent_frames - 1) + 1
-
-
 class LatentCodec:
     """Encoder/decoder pair with parameters held in a ParamStore."""
 

@@ -102,9 +102,6 @@ def validate_config(config: dict) -> dict:
         cfg.setdefault("video_inject", {"mode": "add", "align_hidden": None})
     if cfg["template"] not in ("image_appended", "image_embedded"):
         raise ConfigError("template", f"unknown template {cfg['template']!r}")
-    out_env = os.environ.get("HCUSTOM_OUT")
-    if out_env:
-        cfg["out_dir"] = out_env
     return cfg
 
 
@@ -169,13 +166,12 @@ def prepare_samples(model: CustomVideoModel, codec: LatentCodec, stats: LatentSt
                     template: str = "image_appended") -> list[PreparedSample]:
     prepared = []
     for s in samples:
-        identity_images = [] if task == "t2v" else (
-            s.identity_images if task == "multi_subject" else s.identity_images[:1])
+        spec = spec_for_sample(s, task, template)
         prepared.append(model.prepare(
             codec, stats,
             video=s.video,
-            identity_images=identity_images,
-            spec=spec_for_sample(s, task, template),
+            identity_images=[image for _, image in spec.subjects],
+            spec=spec,
             audio=s.audio if task == "audio_custom" else None,
             condition=condition_for_sample(s) if task == "video_custom" else None))
     return prepared
@@ -292,6 +288,7 @@ ABLATION_AXES = ("no_fusion", "no_identity_enhancement", "channel_concat",
 
 
 def ablation_variant(cfg: dict, axis: str) -> dict:
+    """A copy of the validated config `cfg` with `axis`'s flags flipped."""
     cfg = copy.deepcopy(cfg)
     ab = cfg["ablation"]
     if axis == "no_fusion":
@@ -304,7 +301,6 @@ def ablation_variant(cfg: dict, axis: str) -> dict:
     elif axis == "video_inject_concat":
         if cfg["task"] != "video_custom":
             raise ConfigError("ablate", "video_inject_concat requires task video_custom")
-        cfg.setdefault("video_inject", {"mode": "add", "align_hidden": None})
         cfg["video_inject"]["mode"] = "concat"
     else:
         raise ConfigError("ablate", f"unknown axis {axis!r}; choose from {ABLATION_AXES}")
@@ -327,29 +323,38 @@ def _run_metrics(result: dict, n_eval: int, sampler_steps: int) -> dict:
     return out
 
 
-def run_ablation(cfg: dict, axis: str, log=None, n_eval: int = 8,
-                 sampler_steps: int = 30) -> dict:
-    """Seed-matched pair of runs differing only in the ablated flag."""
+def run_ablation(cfg: dict, axes, *, n_eval: int, sampler_steps: int,
+                 log=None) -> tuple[dict, dict]:
+    """Train the base config once, then one variant per axis on its codec.
+
+    Each variant differs from the base only in its axis's flags, so every
+    pair is seed-matched.  Runs go to `<out_dir>/base` and `<out_dir>/<axis>`.
+    Returns (report, runs).  The report, also written to
+    `<out_dir>/ablation.json`, holds each run's metrics under "runs" (keyed
+    "base" and by axis) and the base-minus-variant metric differences under
+    "deltas" (keyed by axis).  `runs` holds each `run_training` result under
+    the same keys as the report's "runs".
+    """
     cfg = validate_config(cfg)
-    base_cfg = copy.deepcopy(cfg)
-    base_cfg["out_dir"] = os.path.join(cfg["out_dir"], "base")
-    variant_cfg = ablation_variant(cfg, axis)
-    variant_cfg["out_dir"] = os.path.join(cfg["out_dir"], axis)
-    base = run_training(base_cfg, log=log)
-    variant = run_training(variant_cfg, log=log, codec=base["codec"])
-    base_m = _run_metrics(base, n_eval, sampler_steps)
-    var_m = _run_metrics(variant, n_eval, sampler_steps)
+    axes = list(axes)
+    if not axes or len(set(axes)) != len(axes):
+        raise ConfigError("ablate", f"need one or more distinct axes, got {axes}")
+    # every axis is checked before the base spends any training time
+    configs = {"base": cfg, **{axis: ablation_variant(cfg, axis) for axis in axes}}
+    runs = {}
+    for name, run_cfg in configs.items():
+        run_cfg = dict(run_cfg, out_dir=os.path.join(cfg["out_dir"], name))
+        runs[name] = run_training(run_cfg, log=log,
+                                  codec=runs["base"]["codec"] if runs else None)
+    metrics = {name: _run_metrics(result, n_eval, sampler_steps)
+               for name, result in runs.items()}
     deltas = {}
-    for key, bval in base_m["metrics"].items():
-        vval = var_m["metrics"].get(key)
-        if bval is not None and vval is not None:
-            deltas[key] = bval - vval
-    report = {"axis": axis, "base": base_m, "variant": var_m, "deltas": deltas,
-              "base_first_frame_error": base_m["first_frame_error"],
-              "variant_first_frame_error": var_m["first_frame_error"]}
-    os.makedirs(cfg["out_dir"], exist_ok=True)
-    with open(os.path.join(cfg["out_dir"], f"ablation_{axis}.json"), "w") as f:
+    for axis in axes:
+        variant = metrics[axis]["metrics"]
+        deltas[axis] = {key: bval - variant[key]
+                        for key, bval in metrics["base"]["metrics"].items()
+                        if bval is not None and variant[key] is not None}
+    report = {"runs": metrics, "deltas": deltas}
+    with open(os.path.join(cfg["out_dir"], "ablation.json"), "w") as f:
         json.dump(report, f, indent=1, sort_keys=True, default=float)
-    report["_base_result"] = base
-    report["_variant_result"] = variant
-    return report
+    return report, runs

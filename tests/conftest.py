@@ -8,11 +8,10 @@ trade-off is tuned in one place.
 
 import time
 
-import numpy as np
 import pytest
 
-from hcustom.eval_metrics import evaluate, frame_error
-from hcustom.pipeline import merge_config, run_training, sample_training_conditions
+from hcustom.pipeline import (merge_config, run_ablation, run_training,
+                              sample_training_conditions)
 from hcustom.synth_data import SceneParams, generate_dataset
 
 OVERFIT_CFG = {
@@ -41,13 +40,6 @@ ABLATION_EVAL = 20
 ABLATION_SAMPLER_STEPS = 25
 
 
-def train_variant(tmp_root, data_dir, name, overrides, codec=None):
-    cfg = merge_config(ABLATION_CFG, overrides)
-    cfg["dataset"] = str(data_dir)
-    cfg["out_dir"] = str(tmp_root / name)
-    return run_training(cfg, codec=codec)
-
-
 @pytest.fixture(scope="session")
 def overfit_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("overfit")
@@ -67,56 +59,30 @@ def overfit_run(tmp_path_factory):
     return result
 
 
+def ablation(root, task, data_seed, axes):
+    """`run_ablation` of ABLATION_CFG on `task`, over ABLATION_COUNT clips
+    generated from `data_seed`; returns its (report, runs)."""
+    data = root / "data"
+    generate_dataset(data, ABLATION_COUNT, seed=data_seed,
+                     scene=SceneParams(**ABLATION_SCENE))
+    cfg = merge_config(ABLATION_CFG, {"task": task, "dataset": str(data),
+                                      "out_dir": str(root / "runs")})
+    return run_ablation(cfg, axes, n_eval=ABLATION_EVAL,
+                        sampler_steps=ABLATION_SAMPLER_STEPS)
+
+
 @pytest.fixture(scope="session")
 def identity_ablation_runs(tmp_path_factory):
-    root = tmp_path_factory.mktemp("ablate_id")
-    data = root / "data"
-    generate_dataset(data, ABLATION_COUNT, seed=ABLATION_CFG["seed"],
-                     scene=SceneParams(**ABLATION_SCENE))
-    base = train_variant(root, data, "base", {})
-    # the variants differ only in the flow model, so they share base's codec
-    return {
-        "base": base,
-        "no_identity": train_variant(
-            root, data, "no_identity",
-            {"ablation": {"identity_enhancement": False}}, codec=base["codec"]),
-        "channel_concat": train_variant(
-            root, data, "channel_concat",
-            {"ablation": {"identity_enhancement": False, "channel_concat": True}},
-            codec=base["codec"]),
-    }
+    """The base and the two identity-path variants (criteria 8a and 8b)."""
+    return ablation(tmp_path_factory.mktemp("ablate_id"), "single_subject",
+                    ABLATION_CFG["seed"], ("no_identity_enhancement", "channel_concat"))
 
 
 @pytest.fixture(scope="session")
 def video_ablation_runs(tmp_path_factory):
-    root = tmp_path_factory.mktemp("ablate_vid")
-    data = root / "data"
-    generate_dataset(data, ABLATION_COUNT, seed=ABLATION_CFG["seed"] + 1,
-                     scene=SceneParams(**ABLATION_SCENE))
-    overrides = {"task": "video_custom"}
-    add = train_variant(root, data, "add", overrides)
-    return {
-        "add": add,
-        "concat": train_variant(
-            root, data, "concat",
-            merge_config(overrides, {"video_inject": {"mode": "concat",
-                                                      "align_hidden": None}}),
-            codec=add["codec"]),
-    }
-
-
-@pytest.fixture(scope="session")
-def identity_ablation_eval(identity_ablation_runs):
-    """Per variant: (metrics report, mean first-frame error) over the first
-    ABLATION_EVAL training conditions, sampled once and shared by 8a and 8b."""
-    out = {}
-    for name, result in identity_ablation_runs.items():
-        videos, refs = sample_training_conditions(
-            result, ABLATION_EVAL, sampler_steps=ABLATION_SAMPLER_STEPS)
-        ff = float(np.mean([frame_error(v.data[0], s.video.data[0])
-                            for v, s in zip(videos, result["samples"])]))
-        out[name] = (evaluate(videos, refs), ff)
-    return out
+    """Add-mode video injection (the base) and concat mode (criterion 8c)."""
+    return ablation(tmp_path_factory.mktemp("ablate_vid"), "video_custom",
+                    ABLATION_CFG["seed"] + 1, ("video_inject_concat",))
 
 
 def backbone_inputs(model, ps, z, t=0.5):

@@ -18,16 +18,13 @@ from hcustom.audio_net import (AlignedAudio, AudioInjectConfig, AudioInjector,
                                AudioTrack, align_audio, inject_audio_t)
 from hcustom.backbone import BackboneConfig
 from hcustom.eval_metrics import (METRIC_COLUMNS, EvalRef, evaluate,
-                                  id_consistency,
-                                  masked_region_error, temporal_consistency)
+                                  id_consistency, temporal_consistency)
 from hcustom.flow_match import (NoiseSchedule, SamplerConfig, flow_loss_t,
                                 sample_flow)
 from hcustom.latent_codec import (CodecConfig, LatentCodec, PixelVideo,
                                   latent_frame_count)
 from hcustom.model import CustomVideoModel, LatentStats, ModelConfig
-from hcustom.pipeline import (condition_for_sample, merge_config, prepare_samples,
-                              run_training, sample_to_pixel,
-                              sample_training_conditions, validate_config)
+from hcustom.pipeline import condition_for_sample, run_training
 from hcustom.prompt_fusion import PromptSpec
 from hcustom.rope3d import RopeConfig, identity_positions, rotate, video_positions
 from hcustom.synth_data import (AnnotationRecord, BBox, SceneParams,
@@ -46,7 +43,7 @@ def report(criterion: int, ok: bool, detail: str = ""):
     assert ok, f"criterion {criterion} failed: {detail}"
 
 
-from conftest import ABLATION_EVAL, ABLATION_SAMPLER_STEPS, backbone_inputs
+from conftest import backbone_inputs
 
 
 # ---------------------------------------------------------------------------
@@ -242,40 +239,35 @@ def test_criterion_7_overfit_run(overfit_run):
 
 
 @pytest.mark.slow
-def test_criterion_8a_identity_enhancement_direction(identity_ablation_eval):
-    with_rep, with_ff = identity_ablation_eval["base"]
-    without_rep, _ = identity_ablation_eval["no_identity"]
-    _, chan_ff = identity_ablation_eval["channel_concat"]
-    delta = (with_rep.face_sim or 0.0) - (without_rep.face_sim or 0.0)
+def test_criterion_8a_identity_enhancement_direction(identity_ablation_runs):
+    runs = identity_ablation_runs[0]["runs"]
+    with_id = runs["base"]["metrics"]["Face-Sim"] or 0.0
+    without_id = runs["no_identity_enhancement"]["metrics"]["Face-Sim"] or 0.0
+    delta = with_id - without_id
     ok = delta >= 0.1
-    detail = (f"id with={with_rep.face_sim:.3f} without={without_rep.face_sim:.3f} "
-              f"delta={delta:.3f}; first-frame err temporal={with_ff:.4f} "
-              f"channel={chan_ff:.4f}")
+    detail = (f"id with={with_id:.3f} without={without_id:.3f} "
+              f"delta={delta:.3f}; first-frame err "
+              f"temporal={runs['base']['first_frame_error']:.4f} "
+              f"channel={runs['channel_concat']['first_frame_error']:.4f}")
     report(8, ok, "(a) identity enhancement: " + detail)
 
 
 @pytest.mark.slow
-def test_criterion_8b_channel_concat_first_frame(identity_ablation_eval):
-    _, with_ff = identity_ablation_eval["base"]
-    _, chan_ff = identity_ablation_eval["channel_concat"]
+def test_criterion_8b_channel_concat_first_frame(identity_ablation_runs):
+    runs = identity_ablation_runs[0]["runs"]
+    with_ff = runs["base"]["first_frame_error"]
+    chan_ff = runs["channel_concat"]["first_frame_error"]
     ok = chan_ff > with_ff
     report(8, ok, f"(b) first-frame error channel {chan_ff:.4f} > temporal {with_ff:.4f}")
 
 
 @pytest.mark.slow
 def test_criterion_8c_video_injection_background(video_ablation_runs):
-    runs = video_ablation_runs
-    errors = {}
-    for mode, result in runs.items():
-        videos, _ = sample_training_conditions(result, ABLATION_EVAL,
-                                               ABLATION_SAMPLER_STEPS)
-        errs = [masked_region_error(v.data, s.video.data[:v.frames],
-                                    1 - s.masks[:v.frames])
-                for v, s in zip(videos, result["samples"][:len(videos)])]
-        errors[mode] = float(np.mean(errs))
-    ok = errors["add"] < errors["concat"]
-    report(8, ok, f"(c) background error add {errors['add']:.4f} < "
-                  f"concat {errors['concat']:.4f}")
+    runs = video_ablation_runs[0]["runs"]
+    add = runs["base"]["background_error"]
+    concat = runs["video_inject_concat"]["background_error"]
+    ok = add < concat
+    report(8, ok, f"(c) background error add {add:.4f} < concat {concat:.4f}")
 
 
 def test_criterion_9_pipeline_thresholds():

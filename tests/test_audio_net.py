@@ -51,8 +51,6 @@ def test_align_matches_brute_force_oracle():
 def test_align_strict_mismatch():
     with pytest.raises(FrameCountError):
         align_audio(track(9), 5)
-    # non-strict accepts any target length
-    assert align_audio(track(9), 5, strict=False).data.shape == (6, 16, C_A)
 
 
 def test_lambda_zero_is_exact_identity():

@@ -201,7 +201,66 @@ def test_config_roundtrip_and_overrides():
         apply_overrides(cfg, ["oops"])
 
 
-def test_hcustom_out_env_overrides(tmp_path, monkeypatch):
+def test_hcustom_out_env_overrides(workspace, tmp_path, monkeypatch, capsys):
+    _, _, cfg_path = workspace
     monkeypatch.setenv("HCUSTOM_OUT", str(tmp_path / "env_out"))
-    cfg = validate_config({"task": "t2v", "dataset": "d", "out_dir": "ignored"})
-    assert cfg["out_dir"] == str(tmp_path / "env_out")
+    rc = main(["train", "--config", str(cfg_path),
+               "--set", f"out_dir={tmp_path / 'ignored'}"])
+    assert rc == 0
+    assert capsys.readouterr().out.strip() == str(tmp_path / "env_out" / "checkpoint.hc")
+    assert (tmp_path / "env_out" / "checkpoint.hc").exists()
+    assert not (tmp_path / "ignored").exists()
+
+
+def test_ablate_cli_trains_base_and_each_axis_under_hcustom_out(workspace, tmp_path,
+                                                                monkeypatch, capsys):
+    _, _, cfg_path = workspace
+    out = tmp_path / "env_out"
+    monkeypatch.setenv("HCUSTOM_OUT", str(out))
+    axes = ["no_identity_enhancement", "channel_concat"]
+    rc = main(["ablate", "--config", str(cfg_path), "--axis", axes[0], "--axis", axes[1],
+               "--eval-count", "1", "--sampler-steps", "2"])
+    assert rc == 0
+    for name in ["base", *axes]:
+        assert (out / name / "checkpoint.hc").exists()
+    summary = json.loads(capsys.readouterr().out)
+    assert summary == json.loads((out / "ablation.json").read_text())
+    assert sorted(summary["deltas"]) == sorted(axes)
+    assert sorted(summary["runs"]) == sorted(["base", *axes])
+
+
+@pytest.mark.parametrize("flags,field", [
+    (["--axis", "no_fusion"], "ablate"),
+    (["--eval-count", "0"], "--eval-count"),
+    (["--sampler-steps", "0"], "--sampler-steps")])
+def test_ablate_usage_errors_exit_2_before_training(workspace, tmp_path, capsys, flags,
+                                                    field):
+    _, _, cfg_path = workspace
+    rc = main(["ablate", "--config", str(cfg_path), "--set", f"out_dir={tmp_path}",
+               "--axis", "no_fusion", *flags])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"config error: {field}:" in err and '"stage": "codec"' not in err
+
+
+def test_sample_audio_reads_a_gen_data_sample(workspace, tmp_path, capsys):
+    root, data, cfg_path = workspace
+    rc = main(["train", "--config", str(cfg_path), "--set", "task=audio_custom",
+               "--set", "train.checkpoint_every=0", "--set", f"out_dir={tmp_path / 'run'}"])
+    assert rc == 0
+    ckpt = capsys.readouterr().out.strip()
+    sample_file = sorted(data.glob("sample_*.hc"))[0]
+    from hcustom.synth_data import load_sample
+    sample = load_sample(sample_file)
+    img_path = tmp_path / "ident.hc"
+    sample.identity_images[0].save(img_path)
+    args = ["sample", "--ckpt", ckpt, "--prompt", sample.caption,
+            "--subject", f"name={sample.descriptors[0]},image={img_path}",
+            "--audio", str(sample_file), "--steps", "2"]
+    # the 5-frame clip carries 5 audio frames: 2 latent frames, as 5 video frames are
+    assert main(args + ["--frames", "5", "--out", str(tmp_path / "ok.hc")]) == 0
+    assert PixelVideo.load(tmp_path / "ok.hc").frames == 5
+    capsys.readouterr()
+    assert main(args + ["--frames", "9", "--out", str(tmp_path / "bad.hc")]) == 1
+    assert "error: audio has 5 frames" in capsys.readouterr().err
+    assert not (tmp_path / "bad.hc").exists()

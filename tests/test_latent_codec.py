@@ -6,7 +6,7 @@ from hcustom.errors import (ConfigMismatchError, DimensionMismatchError,
                             NumericalFailureError)
 from hcustom.latent_codec import (CodecConfig, LatentCodec, LatentVideo,
                                   PixelVideo, latent_frame_count,
-                                  _upsample_conv, pixel_frame_count, tokenize,
+                                  _upsample_conv, tokenize,
                                   train_codec, untokenize)
 from hcustom.rope3d import video_positions
 
@@ -26,8 +26,6 @@ def _video(frames, size=16):
 def test_frame_count_law_exhaustive():
     for fp in range(1, 257):
         assert latent_frame_count(fp) == fp // 4 + 1
-        f = latent_frame_count(fp)
-        assert pixel_frame_count(f) == 4 * (f - 1) + 1
 
 
 def test_single_image_is_one_latent_frame(codec):

@@ -16,7 +16,7 @@ pytestmark = pytest.mark.slow
 
 
 def test_sampler_convergence_ordering(identity_ablation_runs):
-    result = identity_ablation_runs["base"]
+    result = identity_ablation_runs[1]["base"]
     model, ps = result["model"], result["prepared"][0]
     ends = {}
     for steps in (50, 200, 400):
@@ -27,7 +27,7 @@ def test_sampler_convergence_ordering(identity_ablation_runs):
 
 
 def test_identity_tokens_matter_on_trained_checkpoint(identity_ablation_runs):
-    result = identity_ablation_runs["base"]
+    result = identity_ablation_runs[1]["base"]
     model, ps = result["model"], result["prepared"][0]
     rng = np.random.default_rng(0)
     z = rng.standard_normal(ps.z1.shape).astype(np.float32)
@@ -44,8 +44,8 @@ def test_identity_tokens_matter_on_trained_checkpoint(identity_ablation_runs):
 
 
 def test_alignment_net_receives_gradients(video_ablation_runs):
-    for mode in ("add", "concat"):
-        result = video_ablation_runs[mode]
+    for mode in ("base", "video_inject_concat"):
+        result = video_ablation_runs[1][mode]
         model, ps = result["model"], result["prepared"][0]
         rng = np.random.default_rng(1)
         z0 = rng.standard_normal(ps.z1.shape).astype(np.float32)
@@ -55,7 +55,7 @@ def test_alignment_net_receives_gradients(video_ablation_runs):
             if name.startswith("align."):
                 grad = model.store[name].grad
                 assert grad is not None and np.abs(grad).max() > 0, (mode, name)
-        if mode == "concat":
+        if mode == "video_inject_concat":
             # the compressor's condition rows carry the video into the sequence
             c = model.config.backbone.latent_channels
             grad = model.store["vidcat.w"].grad
@@ -64,7 +64,7 @@ def test_alignment_net_receives_gradients(video_ablation_runs):
 
 def test_audio_injection_ignores_identity_context(identity_ablation_runs):
     """The audio delta depends only on (latents, audio), never on identity."""
-    result = identity_ablation_runs["base"]
+    result = identity_ablation_runs[1]["base"]
     model = result["model"]
     rng = np.random.default_rng(2)
     wh = 6 * 6
@@ -74,7 +74,7 @@ def test_audio_injection_ignores_identity_context(identity_ablation_runs):
         delta_1 = inject_audio_t(ag.Tensor(tokens), aligned, model.audio_injector,
                                  wh).data - tokens
         # swap every identity-related input in the surrounding context
-        other = identity_ablation_runs["channel_concat"]["samples"][0]
+        other = identity_ablation_runs[1]["channel_concat"]["samples"][0]
         _ = other.identity_images[0]
         delta_2 = inject_audio_t(ag.Tensor(tokens), aligned, model.audio_injector,
                                  wh).data - tokens
