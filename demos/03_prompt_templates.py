@@ -14,16 +14,22 @@ print("appended:", build_template(appended))
 
 encoder = toy_encoder(seed=0)
 with ag.no_grad():
-    embeddings, provenance = fuse_t(appended, encoder)
-counts = {}
-for tag in provenance:
-    counts[tag] = counts.get(tag, 0) + 1
-print("fused token counts:", counts)
-print("total length:", len(provenance), "embedding width:", embeddings.shape[1])
+    embeddings, provenance, counts = fuse_t(appended, encoder)
+rows, tokens = {}, {}
+for tag, count in zip(provenance, counts):
+    rows[tag] = rows.get(tag, 0) + 1
+    tokens[tag] = tokens.get(tag, 0) + int(count)
+# each image block holds its distinct pooled colours once, counted by the
+# grid cells they fill: the rows cross-attention scores, the tokens it weighs
+print("fused rows per tag:", rows)
+print("prompt tokens per tag (sum of counts):", tokens)
+print("total:", len(provenance), "rows for", int(counts.sum()), "tokens,",
+      "embedding width:", embeddings.shape[1])
 
 two = PromptSpec("a circle and a square",
                  [("circle", img), ("square", img)], Template.image_appended)
 with ag.no_grad():
-    _, provenance2 = fuse_t(two, encoder)
+    _, provenance2, counts2 = fuse_t(two, encoder)
+image_tokens = sum(int(c) for p, c in zip(provenance2, counts2) if p.startswith("image-"))
 print("two subjects ->", provenance2.count("sep"), "separators,",
-      provenance2.count("image-1") + provenance2.count("image-2"), "image tokens")
+      image_tokens, "image tokens")

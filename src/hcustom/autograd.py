@@ -19,7 +19,10 @@ bias in place, so a linear layer is one tape op.
 Time: `attention` works on base-2 scores with exp2.  When one Cauchy-Schwarz
 bound per call proves every score within +-64, it skips the row-max pass;
 otherwise it floors the shifted scores, and the backward pass always floors
-its recomputed ones, so that no step makes subnormals.
+its recomputed ones, so that no step makes subnormals.  Given a count per
+key, `attention` computes softmax attention over each key repeated that many
+times while scoring every distinct key once: the backbone's cross-attention
+runs over the distinct rows of the fused prompt this way.
 """
 
 from __future__ import annotations
@@ -263,22 +266,24 @@ def _row_blocks(rows, per_row):
     return [slice(r, min(r + step, rows)) for r in range(0, rows, step)]
 
 
-def _scores_bounded(qs, kd, vd, dtype):
+def _scores_bounded(qs, kd, vd, dtype, keys):
     """Whether the fast path of `attention` is safe for these inputs.
 
     By Cauchy-Schwarz every base-2 score qs_i . k_j lies within
     max_i |qs_i| max_j |k_j|; when that is at most `_SCORE_BOUND`, exp2 of a
-    score is a normal float in [2^-64, 2^64], and e @ [v | 1] cannot overflow
-    unless S 2^64 max|v| does.  NaN or infinite inputs fail the test.
+    score is a normal float in [2^-64, 2^64], and e @ [c v | c] cannot
+    overflow unless keys 2^64 max|v| does, where `keys` is the number of keys
+    the softmax runs over: S, or the sum of the counts.  NaN or infinite
+    inputs fail the test.
     """
     bound = math.sqrt(float(np.einsum("...i,...i->...", qs, qs).max())
                       * float(np.einsum("...i,...i->...", kd, kd).max()))
     vmax = float(max(vd.max(), -vd.min()))
     return (bound <= _SCORE_BOUND
-            and vmax * kd.shape[1] * 2.0 ** _SCORE_BOUND < float(np.finfo(dtype).max))
+            and vmax * keys * 2.0 ** _SCORE_BOUND < float(np.finfo(dtype).max))
 
 
-def attention(q, k, v, scale):
+def attention(q, k, v, scale, counts=None):
     """Fused softmax(scale * q k^T) v over batched q [B, L, dh], k/v [B, S, dh].
 
     Same function as the matmul/softmax/matmul composition, computed one
@@ -312,6 +317,17 @@ def attention(q, k, v, scale):
       P * (g v^T - rowsum(g * out)); gq is written block by block, and gk
       and gv are summed over the blocks.
 
+    `counts`, a [S] array of positive key multiplicities, makes key j (with
+    its value) stand for counts[j] identical copies: the result is that of
+    attention over the keys repeated by their counts, the proportional
+    attention of Token Merging (Bolya et al., arXiv 2210.09461), at the
+    cost of the distinct keys.  The tail product becomes e @ [c v | c], so
+    the output and the row sums both weight key j by c_j; the backward pass
+    multiplies the recomputed P by c, so gv, the score gradient, gq and gk
+    come out summed over the copies; and the overflow guard counts sum(c)
+    keys.  Without counts (self-attention) every key counts once and none of
+    these multiplies runs.
+
     Either path computes the same output whether or not the call is taped.
     The VJP never writes to g.
     """
@@ -322,8 +338,16 @@ def attention(q, k, v, scale):
     kt = np.ascontiguousarray(np.swapaxes(kd, -1, -2))
     out = np.empty(qd.shape[:-1] + vd.shape[-1:], dtype=np.result_type(qd, kd, vd))
     lse = np.empty((n, rows, 1), dtype=out.dtype)
-    fast = _scores_bounded(qs, kd, vd, out.dtype)
-    vo = np.concatenate([vd, np.ones(vd.shape[:-1] + (1,), dtype=out.dtype)], axis=-1)
+    if counts is None:
+        c = None
+        keys = kd.shape[1]
+        vo = np.concatenate([vd, np.ones(vd.shape[:-1] + (1,), dtype=out.dtype)], axis=-1)
+    else:
+        c = np.asarray(counts, dtype=out.dtype)
+        keys = float(c.sum())
+        cv = c[:, None]
+        vo = np.concatenate([vd * cv, np.broadcast_to(cv, vd.shape[:-1] + (1,))], axis=-1)
+    fast = _scores_bounded(qs, kd, vd, out.dtype, keys)
     for r in blocks:
         e = qs[:, r] @ kt
         if not fast:
@@ -354,6 +378,8 @@ def attention(q, k, v, scale):
             p = qa[:, r] @ ka
             np.maximum(p, _EXP2_FLOOR, out=p)
             np.exp2(p, out=p)
+            if c is not None:
+                p *= c                  # each key's weight summed over its copies
             gv += np.swapaxes(p, -1, -2) @ g[:, r]
             gs = ga[:, r] @ va
             gs *= p                     # gs is now the gradient of scale * q k^T

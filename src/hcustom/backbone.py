@@ -1,7 +1,8 @@
 """Toy diffusion transformer over an assembled latent token sequence.
 
 Each block runs rotary self-attention over the latent tokens, cross
-attention from latent tokens to the fused prompt, and a feed-forward,
+attention from latent tokens to the fused prompt (its distinct rows, each
+weighted by the number of prompt tokens it stands for), and a feed-forward,
 every sub-layer modulated (shift/scale/gate) by the flow timestep
 embedding.  The output projection is zero-initialized, so a freshly
 built model predicts exactly zero velocity.
@@ -112,9 +113,9 @@ class Backbone:
         x = ag.transpose(x, (1, 0, 2))
         return ag.reshape(x, (length, self.config.width))
 
-    def _attend(self, q, k, v):
+    def _attend(self, q, k, v, counts=None):
         scale = 1.0 / float(np.sqrt(self.config.head_dim))  # python float: no upcast
-        return ag.attention(q, k, v, scale)
+        return ag.attention(q, k, v, scale, counts)
 
     def timestep_embedding_t(self, t: float) -> ag.Tensor:
         p = self.prefix
@@ -125,10 +126,14 @@ class Backbone:
     # -- forward -------------------------------------------------------------
 
     def forward_t(self, tokens: ag.Tensor, rope_cos: np.ndarray, rope_sin: np.ndarray,
-                  prompt: ag.Tensor | None, t: float,
+                  prompt: ag.Tensor | None, counts: np.ndarray | None, t: float,
                   video_cond: ag.Tensor | None = None) -> ag.Tensor:
         """tokens [L, in_channels] -> velocity [L, latent_channels].
 
+        `prompt` [S, text_width] holds the distinct rows of the fused prompt
+        and `counts` [S] the number of prompt tokens each row stands for
+        (`prompt_fusion.fuse_t`); cross-attention weights row j by
+        counts[j].  Both are None for an empty prompt.
         `video_cond` ([L, width], add-mode video conditioning in hidden
         space) is added to the tokens right after the input projection.
         """
@@ -179,7 +184,7 @@ class Backbone:
                                             (n_text, cfg.heads, cfg.head_dim)), (1, 0, 2))
                 v = ag.transpose(ag.reshape(ag.slice_axis(kv, 1, 1, 2),
                                             (n_text, cfg.heads, cfg.head_dim)), (1, 0, 2))
-                o = self._attend(q, k, v)
+                o = self._attend(q, k, v, counts)
                 o = ag.matmul(self._merge_heads(o, L), self.store[f"{b}.xo.w"],
                               self.store[f"{b}.xo.b"])
                 x = ag.add(x, ag.mul(o, parts[5]))

@@ -83,12 +83,24 @@ def _parse_subject(spec: str) -> tuple[str, str]:
     return fields["name"], fields["image"]
 
 
+def _require_trained_conditions(meta: dict, args):
+    """Reject a condition whose branch the checkpoint's task did not train:
+    that branch still holds its initial draw."""
+    task = meta.get("extra", {}).get("task")
+    for flag, given, needs in (("--audio", args.audio, "audio_custom"),
+                               ("--condition-video", args.condition_video, "video_custom")):
+        if given and task is not None and task != needs:
+            raise ConfigError(flag, f"the checkpoint was trained for task {task!r}; "
+                                    f"{flag} needs a {needs!r} checkpoint")
+
+
 def cmd_sample(args) -> int:
     lam = args.lambda_audio
     if lam is not None and not (math.isfinite(lam) and lam >= 0):
         raise ConfigError("--lambda-audio", f"must be finite and >= 0, got {lam}")
     _require_positive(("--frames", args.frames), ("--steps", args.steps))
-    model, codec, stats, step, _ = load_checkpoint(args.ckpt, lambda_a=lam)
+    model, codec, stats, step, meta = load_checkpoint(args.ckpt, lambda_a=lam)
+    _require_trained_conditions(meta, args)
     subjects = []
     for spec in args.subject or []:
         word, image_path = _parse_subject(spec)

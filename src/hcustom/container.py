@@ -5,22 +5,24 @@ header (sorted keys, no whitespace) describing every array's name, dtype,
 shape, and byte offset plus a free-form `meta` record, then the raw array
 bytes back to back in header order.  Writing the same arrays and meta twice
 produces byte-identical files, which the determinism acceptance criterion
-relies on.
+relies on.  Reading checks the header length against the file size before
+reading the header, and every entry against the body before building its
+array, so a damaged file raises `ContainerError`, never a raw decoding error
+or an allocation the file cannot back.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
 import numpy as np
 
+from .errors import ContainerError
+
 MAGIC = b"HCARR1\x00\x00"
-
-
-class ContainerError(ValueError):
-    pass
 
 
 def save_container(path, arrays: dict[str, np.ndarray], meta: dict | None = None):
@@ -59,19 +61,45 @@ def save_container(path, arrays: dict[str, np.ndarray], meta: dict | None = None
         raise
 
 
+def _entry_array(path, entry, body: bytes) -> tuple[str, np.ndarray]:
+    """The (name, array) of one header entry, checked against the body."""
+    try:
+        name, dtype = entry["name"], np.dtype(entry["dtype"])
+        shape, offset, nbytes = tuple(entry["shape"]), entry["offset"], entry["nbytes"]
+    except (KeyError, TypeError, ValueError) as e:
+        raise ContainerError(f"{path}: malformed array entry {str(entry)[:80]}") from e
+    if (not isinstance(name, str) or dtype.hasobject or dtype.itemsize == 0
+            or not all(type(x) is int and x >= 0 for x in (offset, nbytes, *shape))):
+        raise ContainerError(f"{path}: malformed array entry {str(entry)[:80]}")
+    if offset + nbytes > len(body):
+        raise ContainerError(f"{path}: truncated array {name!r}")
+    if math.prod(shape) * dtype.itemsize != nbytes:
+        raise ContainerError(f"{path}: array {name!r} of shape {list(shape)} and dtype "
+                             f"{dtype.str} does not fill its {nbytes} bytes")
+    raw = body[offset:offset + nbytes]
+    return name, np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+
+
 def load_container(path) -> tuple[dict[str, np.ndarray], dict]:
     with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic != MAGIC:
+        size = os.fstat(f.fileno()).st_size
+        prefix = f.read(16)
+        if prefix[:8] != MAGIC:
             raise ContainerError(f"{path}: not a container file (bad magic)")
-        hlen = int.from_bytes(f.read(8), "little")
-        header = json.loads(f.read(hlen).decode("utf-8"))
+        if len(prefix) < 16:
+            raise ContainerError(f"{path}: truncated header length")
+        hlen = int.from_bytes(prefix[8:], "little")
+        if hlen > size - 16:
+            raise ContainerError(f"{path}: header length {hlen} exceeds the "
+                                 f"{size}-byte file")
+        text = f.read(hlen)
         body = f.read()
-    arrays = {}
-    for entry in header["arrays"]:
-        raw = body[entry["offset"]:entry["offset"] + entry["nbytes"]]
-        if len(raw) != entry["nbytes"]:
-            raise ContainerError(f"{path}: truncated array {entry['name']!r}")
-        arr = np.frombuffer(raw, dtype=np.dtype(entry["dtype"]))
-        arrays[entry["name"]] = arr.reshape(entry["shape"]).copy()
+    try:
+        header = json.loads(text.decode("utf-8"))
+    except (ValueError, RecursionError) as e:   # bad UTF-8, bad or too deeply nested JSON
+        raise ContainerError(f"{path}: unreadable header: {e}") from e
+    if not (isinstance(header, dict) and isinstance(header.get("arrays"), list)
+            and isinstance(header.get("meta"), dict)):
+        raise ContainerError(f"{path}: the header holds no array list and meta record")
+    arrays = dict(_entry_array(path, entry, body) for entry in header["arrays"])
     return arrays, header["meta"]

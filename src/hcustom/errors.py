@@ -37,6 +37,10 @@ class DuplicateDescriptorError(TemplateError):
     """Descriptor word occurs more than once, placement is ambiguous."""
 
 
+class ContainerError(HCustomError, ValueError):
+    """A file is not a well-formed array container (header, entries or body)."""
+
+
 class ConfigError(HCustomError, ValueError):
     """Invalid run configuration; `field` names the offending entry."""
 

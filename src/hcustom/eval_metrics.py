@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Protocol
 
 import numpy as np
-from scipy import ndimage
 
 from .latent_codec import PixelVideo
 from .prompt_fusion import adaptive_pool_image
@@ -102,6 +101,7 @@ def detect_sprite(frame: np.ndarray, saturation_min: float = 0.18,
     mask = sat > saturation_min
     if mask.sum() < min_pixels:
         return None
+    from scipy import ndimage  # deferred: 26 MB resident, see tests/test_layering.py
     labels, n = ndimage.label(mask)
     if n > 1:
         sizes = ndimage.sum_labels(np.ones_like(labels), labels, index=range(1, n + 1))

@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy import ndimage
 
 from . import autograd as ag
 from .container import load_container, save_container
@@ -374,6 +373,20 @@ def untokenize(tokens: np.ndarray, f: int, h: int, w: int) -> LatentVideo:
     return LatentVideo(np.asarray(tokens).reshape(f, h, w, -1))
 
 
+def _grow_masks(masks, steps: int) -> np.ndarray:
+    """Binary dilation of [f, H, W] masks within each frame: `steps` times,
+    each pixel joins its 4-neighbours.  Pixels beyond the border count as 0."""
+    m = np.asarray(masks, dtype=bool)
+    for _ in range(steps):
+        grown = m.copy()
+        grown[:, 1:] |= m[:, :-1]
+        grown[:, :-1] |= m[:, 1:]
+        grown[:, :, 1:] |= m[:, :, :-1]
+        grown[:, :, :-1] |= m[:, :, 1:]
+        m = grown
+    return m
+
+
 def train_codec(codec: LatentCodec, videos: list[PixelVideo], steps: int,
                 batch_size: int = 2, learning_rate: float = 1e-3, seed: int = 0,
                 focus_masks: list[np.ndarray] | None = None,
@@ -396,11 +409,7 @@ def train_codec(codec: LatentCodec, videos: list[PixelVideo], steps: int,
     silhouettes are what downstream identity checks depend on.
     """
     if focus_masks is not None:
-        grow = np.zeros((1, 3, 3), dtype=bool)  # grow within each frame only
-        grow[0] = ndimage.generate_binary_structure(2, 1)
-        focus_masks = [ndimage.binary_dilation(np.asarray(m, dtype=bool), grow,
-                                               iterations=FOCUS_DILATION)
-                       for m in focus_masks]
+        focus_masks = [_grow_masks(m, FOCUS_DILATION) for m in focus_masks]
 
     def item_loss(i, rng):
         frames = videos[i].data

@@ -180,9 +180,10 @@ class CustomVideoModel:
         if ps.aligned_audio is not None:
             tokens = inject_audio_t(tokens, ps.aligned_audio, self.audio_injector,
                                     ps.wh)
-        prompt, _ = fuse_t(ps.spec, self.encoder, include_images=cfg.fusion_images)
-        return self.backbone.forward_t(tokens, ps.rope_cos, ps.rope_sin,
-                                       prompt if len(prompt.data) else None, t,
+        prompt, _, counts = fuse_t(ps.spec, self.encoder, include_images=cfg.fusion_images)
+        if not len(counts):
+            prompt = counts = None
+        return self.backbone.forward_t(tokens, ps.rope_cos, ps.rope_sin, prompt, counts, t,
                                        video_cond=video_cond)
 
     # -- sample preparation ----------------------------------------------------

@@ -245,7 +245,7 @@ def run_training(cfg: dict, log=None, codec: LatentCodec | None = None) -> dict:
         step = event["step"] + 1
         if every and step % every == 0:
             save_checkpoint(os.path.join(out_dir, f"checkpoint_step{step:06d}.hc"),
-                            model, codec, stats, step)
+                            model, codec, stats, step, extra_meta={"task": cfg["task"]})
 
     losses = train_flow(
         model, prepared, steps=tr["steps"], batch_size=tr["batch_size"],

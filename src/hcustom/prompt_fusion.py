@@ -7,6 +7,15 @@ subject.  At fusion time each marker expands into a 24x24 grid of image
 hidden features (576 tokens); the separator is a dedicated learned
 embedding that user text can never forge, since raw text is escaped and
 the tokenizer only ever emits plain word/punctuation tokens.
+
+An image token is the projection of one pooled RGB cell, and identity
+sprites sit on flat backgrounds, so most of an image's 576 tokens repeat a
+few colours.  The fused prompt therefore holds each image's distinct pooled
+colours once, with a count per row of the cells it fills (text and
+separator rows count 1); the backbone's cross-attention weights each row by
+its count (`autograd.attention`), which equals attending over all 576
+copies.  The distinct colours are found on the pooled pixels, once per
+image, not on the projected features.
 """
 
 from __future__ import annotations
@@ -125,7 +134,8 @@ class ToyMultimodalEncoder:
 
     Text path: small-vocabulary embedding table with hashed OOV buckets.
     Image path: fixed 24x24 average pooling of the identity image followed
-    by a learned linear map to the text width.
+    by a learned linear map to the text width, applied to each distinct
+    pooled colour once.
     """
 
     def __init__(self, store: ParamStore, rng: np.random.Generator,
@@ -158,21 +168,26 @@ class ToyMultimodalEncoder:
     def sep_t(self) -> ag.Tensor:
         return ag.reshape(self.store[f"{self.prefix}.sep"], (1, self.d_text))
 
-    def _pooled(self, image: PixelVideo) -> np.ndarray:
+    def _pooled(self, image: PixelVideo) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct rows of the image's 24x24 pooled RGB grid, and how
+        many of its IMAGE_TOKENS cells each row fills."""
         # pooling is pure and images are reused every step: cache by content
         key = (image.data.shape, zlib.crc32(image.data.tobytes()))
         hit = self._pool_cache.get(key)
         if hit is None:
-            hit = adaptive_pool_image(image.data[0]).reshape(IMAGE_TOKENS, 3)
-            hit = hit.astype(self.store.dtype)
+            pooled = adaptive_pool_image(image.data[0]).reshape(IMAGE_TOKENS, 3)
+            hit = np.unique(pooled.astype(self.store.dtype), axis=0, return_counts=True)
             if len(self._pool_cache) < 4096:
                 self._pool_cache[key] = hit
         return hit
 
-    def encode_image_t(self, image: PixelVideo) -> ag.Tensor:
-        pooled = ag.Tensor(self._pooled(image))
-        return ag.matmul(pooled, self.store[f"{self.prefix}.image.w"],
-                         self.store[f"{self.prefix}.image.b"])
+    def encode_image_t(self, image: PixelVideo) -> tuple[ag.Tensor, np.ndarray]:
+        """Hidden features [n, d_text] of the image's n distinct pooled
+        colours, and the count of grid cells each one stands for."""
+        rows, counts = self._pooled(image)
+        features = ag.matmul(ag.Tensor(rows), self.store[f"{self.prefix}.image.w"],
+                             self.store[f"{self.prefix}.image.b"])
+        return features, counts
 
 
 def toy_encoder(seed: int = 0, d_text: int = 128) -> ToyMultimodalEncoder:
@@ -181,22 +196,29 @@ def toy_encoder(seed: int = 0, d_text: int = 128) -> ToyMultimodalEncoder:
     return ToyMultimodalEncoder(store, np.random.default_rng(seed), d_text=d_text)
 
 
-def fuse_t(spec: PromptSpec, encoder: ToyMultimodalEncoder,
-           include_images: bool = True) -> tuple[ag.Tensor, list[str]]:
+def fuse_t(spec: PromptSpec, encoder: ToyMultimodalEncoder, include_images: bool = True
+           ) -> tuple[ag.Tensor, list[str], np.ndarray]:
     """Taped fusion: expand markers into image feature blocks.
 
-    Returns the embeddings [L, d_text] and each token's provenance,
-    "text" | "sep" | "image-k".
+    Returns the fused rows [S, d_text], each row's provenance ("text" |
+    "sep" | "image-k") and each row's count: how many prompt tokens the row
+    stands for.  A text or separator row is one token; an image block holds
+    one row per distinct pooled colour of its identity image, counted by the
+    grid cells it fills, so the counts of each "image-k" sum to
+    IMAGE_TOKENS.  Cross-attention over the rows weighted by their counts is
+    attention over the full prompt of sum(counts) tokens.
     """
     tagged = _template_tokens(spec)
     pieces: list[ag.Tensor] = []
     provenance: list[str] = []
+    counts: list[int] = []
     run: list[str] = []
 
     def flush():
         if run:
             pieces.append(encoder.encode_text_t(run))
             provenance.extend("text" for _ in run)
+            counts.extend(1 for _ in run)
             run.clear()
 
     for tag, value in tagged:
@@ -206,13 +228,18 @@ def fuse_t(spec: PromptSpec, encoder: ToyMultimodalEncoder,
             flush()
             pieces.append(encoder.sep_t())
             provenance.append("sep")
+            counts.append(1)
         else:
             flush()
             if include_images:
                 k = int(value)
-                pieces.append(encoder.encode_image_t(spec.subjects[k - 1][1]))
-                provenance.extend(f"image-{k}" for _ in range(IMAGE_TOKENS))
+                rows, image_counts = encoder.encode_image_t(spec.subjects[k - 1][1])
+                pieces.append(rows)
+                provenance.extend(f"image-{k}" for _ in range(len(image_counts)))
+                counts.extend(image_counts)
     flush()
+    row_counts = np.array(counts, dtype=np.int64)
     if not pieces:
-        return ag.Tensor(np.zeros((0, encoder.d_text), dtype=encoder.store.dtype)), []
-    return ag.concat(pieces, axis=0), provenance
+        empty = ag.Tensor(np.zeros((0, encoder.d_text), dtype=encoder.store.dtype))
+        return empty, [], row_counts
+    return ag.concat(pieces, axis=0), provenance, row_counts

@@ -22,7 +22,6 @@ import os
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy import ndimage
 
 from .audio_net import AudioTrack
 from .container import load_container, save_container
@@ -518,6 +517,7 @@ def augment_mask(mask: np.ndarray, mode: str, radius: int = 1) -> np.ndarray:
     """Soften mask boundaries by dilation or by filling the bounding box."""
     mask = np.asarray(mask).astype(bool)
     if mode == "dilate":
+        from scipy import ndimage  # deferred: 26 MB resident, see tests/test_layering.py
         elem = np.ones((2 * radius + 1, 2 * radius + 1), dtype=bool)
         return ndimage.binary_dilation(mask, structure=elem).astype(np.uint8)
     if mode == "to_bbox":
@@ -553,6 +553,7 @@ def standardize_resolution(video: PixelVideo, short_side: int,
     frames, h, w = video.frames, video.height, video.width
     scale = short_side / min(h, w)
     nh, nw = int(round(h * scale)), int(round(w * scale))
+    from scipy import ndimage  # deferred: 26 MB resident, see tests/test_layering.py
     resized = ndimage.zoom(video.data, (1, nh / h, nw / w, 1), order=1)
     aw, ah = ASPECTS[aspect]
     if nw <= nh:

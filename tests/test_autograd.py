@@ -339,7 +339,7 @@ def test_attention_guard_either_side_of_the_score_bound(bound, fast):
     q, k = _aligned_scores(bound)
     v = np.random.default_rng(16).normal(size=k.shape)
     assert abs(ag._LOG2E * (q @ np.swapaxes(k, -1, -2)).max() - bound) < 1e-9
-    assert ag._scores_bounded(q * ag._LOG2E, k, v, np.float64) is fast
+    assert ag._scores_bounded(q * ag._LOG2E, k, v, np.float64, k.shape[1]) is fast
     for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-5)):
         assert max(_attention_errors([q, k, v], 1.0, dtype, 17)) < tol
 
@@ -353,7 +353,7 @@ def test_attention_float32_at_the_flow_train_shape(s, path, monkeypatch):
     arrays = [local.normal(size=(4, 640, 32)), local.normal(size=(4, s, 32)),
               local.normal(size=(4, s, 32))]
     scale = 32 ** -0.5
-    assert ag._scores_bounded(arrays[0] * (scale * ag._LOG2E), *arrays[1:], np.float32)
+    assert ag._scores_bounded(arrays[0] * (scale * ag._LOG2E), *arrays[1:], np.float32, s)
     if path == "row-max":
         monkeypatch.setattr(ag, "_scores_bounded", lambda *args: False)
     assert max(_attention_errors(arrays, scale, np.float32, 20)) < 1e-5
@@ -365,7 +365,7 @@ def test_attention_large_v_takes_the_row_max_path_and_stays_finite():
     q, k = _aligned_scores(60.0)
     v = 3e20 * np.random.default_rng(22).choice([-1.0, 1.0], size=k.shape)
     assert not ag._scores_bounded((q * ag._LOG2E).astype(np.float32), k.astype(np.float32),
-                                  v.astype(np.float32), np.float32)
+                                  v.astype(np.float32), np.float32, k.shape[1])
     ts = [ag.Tensor(a.astype(np.float32)) for a in (q, k, v)]
     out = ag.attention(*ts, 1.0).data
     ref, _ = _attention_reference(q, k, v, 1.0, np.zeros_like(q))
@@ -399,7 +399,7 @@ def test_attention_fast_path_backward_keeps_exp2_above_the_subnormal_range(monke
     k[:, 1] = -k[:, 0]
     v = np.random.default_rng(25).normal(size=k.shape)
     assert ag._scores_bounded((q * ag._LOG2E).astype(np.float32), k.astype(np.float32),
-                              v.astype(np.float32), np.float32)
+                              v.astype(np.float32), np.float32, k.shape[1])
     smallest = []
     exp2 = np.exp2
 
@@ -410,6 +410,77 @@ def test_attention_fast_path_backward_keeps_exp2_above_the_subnormal_range(monke
     monkeypatch.setattr(np, "exp2", spy)
     assert max(_attention_errors([q, k, v], 1.0, np.float32, 26)) < 1e-5
     assert min(smallest) >= ag._EXP2_FLOOR
+
+
+# counted keys: key j stands for counts[j] copies of itself and its value
+
+COUNTS = np.array([3, 1, 4, 1, 5])
+
+
+def _repeated(arrays, counts):
+    """q, and k and v with each key row repeated by its count."""
+    q, k, v = arrays
+    return [q, np.repeat(k, counts, axis=1), np.repeat(v, counts, axis=1)]
+
+
+def _summed_over_copies(g, counts):
+    """A per-copy key gradient summed back onto its distinct key."""
+    return np.add.reduceat(g, np.concatenate([[0], np.cumsum(counts)[:-1]]), axis=1)
+
+
+@pytest.mark.parametrize("path", ["fast", "row-max"])
+@pytest.mark.parametrize("tile", [None, 30])
+def test_counted_attention_equals_attention_over_repeated_keys(path, tile, monkeypatch):
+    local = np.random.default_rng(30)
+    arrays = [local.normal(size=(2, 7, 4)), local.normal(size=(2, 5, 4)),
+              local.normal(size=(2, 5, 4))]
+    probe = local.normal(size=(2, 7, 4))
+    assert ag._scores_bounded(arrays[0] * (0.6 * ag._LOG2E), arrays[1], arrays[2],
+                              np.float64, COUNTS.sum())
+    if path == "row-max":
+        monkeypatch.setattr(ag, "_scores_bounded", lambda *args: False)
+    results = []
+    for inputs, counts in ((arrays, COUNTS), (_repeated(arrays, COUNTS), None)):
+        _set_tile(monkeypatch, tile, 7, 2 * inputs[1].shape[1])
+        ts = [ag.Tensor(a, requires_grad=True) for a in inputs]
+        out = ag.attention(*ts, 0.6, counts)
+        ag.sum_(ag.mul(out, probe)).backward()
+        results.append((out.data, *[t.grad for t in ts]))
+    (out_c, gq_c, gk_c, gv_c), (out_r, gq_r, gk_r, gv_r) = results
+    np.testing.assert_allclose(out_c, out_r, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gq_c, gq_r, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gk_c, _summed_over_copies(gk_r, COUNTS), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gv_c, _summed_over_copies(gv_r, COUNTS), rtol=0, atol=1e-12)
+    ref, _ = _attention_reference(*_repeated(arrays, COUNTS), 0.6, probe)
+    np.testing.assert_allclose(out_c, ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("tile", [None, 30])
+def test_counted_attention_gradients_match_finite_differences(tile, monkeypatch):
+    _set_tile(monkeypatch, tile, 7, 2 * 5)
+    local = np.random.default_rng(31)
+    check_op(lambda q, k, v: ag.attention(q, k, v, 0.45, COUNTS),
+             [local.normal(size=(2, 7, 3)), local.normal(size=(2, 5, 3)),
+              local.normal(size=(2, 5, 3))],
+             atol=1e-7)
+
+
+def test_counted_attention_overflow_guard_counts_every_copy():
+    # a score of 63 on a key that stands for 1000 copies, with |v| = 1e17:
+    # five single keys would pass the guard, but 1000 copies of 2^63 * 1e17
+    # overflow float32, so the counted call must take the row-max path
+    q, k = _aligned_scores(63.0)
+    counts = np.array([1000, 1, 1, 1, 1])
+    v = 1e17 * np.random.default_rng(32).choice([-1.0, 1.0], size=k.shape)
+    bounded = [ag._scores_bounded((q * ag._LOG2E).astype(np.float32), k.astype(np.float32),
+                                  v.astype(np.float32), np.float32, keys)
+               for keys in (k.shape[1], counts.sum())]
+    assert bounded == [True, False]
+    ts = [ag.Tensor(a.astype(np.float32)) for a in (q, k, v)]
+    out = ag.attention(*ts, 1.0, counts).data
+    ref, _ = _attention_reference(*_repeated([q, k, v], counts), 1.0, np.zeros_like(q))
+    assert np.isfinite(out).all()
+    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-5 * np.abs(ref).max())
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +570,8 @@ def _vjp_cases(dtype=np.float64):
         "attention": lambda: ag.attention(t(2, 3, 4), t(2, 5, 4), t(2, 5, 4), 0.5),
         "attention_blocked": lambda: _with_tile(16, lambda: ag.attention(
             t(2, 3, 4), t(2, 5, 4), t(2, 5, 4), 0.5)),
+        "attention_counted": lambda: _with_tile(16, lambda: ag.attention(
+            t(2, 3, 4), t(2, 5, 4), t(2, 5, 4), 0.5, COUNTS)),
         "matmul_bias": lambda: ag.matmul(t(2, 3, 4), t(4, 5), t(5)),
         "reshape": lambda: ag.reshape(t(3, 4), (2, 6)),
         "transpose": lambda: ag.transpose(t(2, 3, 4), (2, 0, 1)),

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from hcustom.cli import main
+from hcustom.container import load_container, save_container
 from hcustom.latent_codec import PixelVideo
 from hcustom.pipeline import (DEFAULT_CONFIG, apply_overrides, merge_config,
                               serialize_config, validate_config)
 from hcustom.errors import ConfigError
+from hcustom.synth_data import load_sample
 
 TINY_CFG = {
     "task": "single_subject",
@@ -263,4 +265,57 @@ def test_sample_audio_reads_a_gen_data_sample(workspace, tmp_path, capsys):
     capsys.readouterr()
     assert main(args + ["--frames", "9", "--out", str(tmp_path / "bad.hc")]) == 1
     assert "error: audio has 5 frames" in capsys.readouterr().err
+    assert not (tmp_path / "bad.hc").exists()
+
+
+def _tiny_checkpoint(cfg_path, out_dir, task, capsys, every=0):
+    """Train TINY_CFG on `task` into out_dir; returns the final checkpoint."""
+    rc = main(["train", "--config", str(cfg_path), "--set", f"task={task}",
+               "--set", f"train.checkpoint_every={every}", "--set", f"out_dir={out_dir}"])
+    assert rc == 0
+    return capsys.readouterr().out.strip()
+
+
+def test_sample_rejects_a_condition_the_checkpoint_task_did_not_train(workspace, tmp_path,
+                                                                       capsys):
+    # the intermediate checkpoint records its task as the final one does
+    root, data, cfg_path = workspace
+    _tiny_checkpoint(cfg_path, tmp_path / "run", "single_subject", capsys, every=2)
+    ckpt = tmp_path / "run" / "checkpoint_step000002.hc"
+    assert load_container(ckpt)[1]["extra"] == {"task": "single_subject"}
+    sample_file = sorted(data.glob("sample_*.hc"))[0]
+    sample = load_sample(sample_file)
+    img_path = tmp_path / "ident.hc"
+    sample.identity_images[0].save(img_path)
+    args = ["sample", "--ckpt", str(ckpt), "--prompt", sample.caption,
+            "--subject", f"name={sample.descriptors[0]},image={img_path}",
+            "--frames", "5", "--steps", "2"]
+    for flag, value in (("--audio", sample_file), ("--condition-video", img_path)):
+        out = tmp_path / f"{flag[2:]}.hc"
+        assert main(args + [flag, str(value), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {flag}: the checkpoint was trained for task 'single_subject'" in err
+        assert not out.exists()
+    assert main(args + ["--out", str(tmp_path / "plain.hc")]) == 0
+
+
+def test_sample_condition_video_on_a_video_custom_checkpoint(workspace, tmp_path, capsys):
+    root, data, cfg_path = workspace
+    ckpt = _tiny_checkpoint(cfg_path, tmp_path / "run", "video_custom", capsys)
+    sample_file = sorted(data.glob("sample_*.hc"))[0]
+    sample = load_sample(sample_file)
+    img_path, cond_path, mask_path = (tmp_path / n for n in ("ident.hc", "cond.hc", "mask.hc"))
+    sample.identity_images[0].save(img_path)
+    sample.video.save(cond_path)
+    save_container(mask_path, {"mask": (1 - sample.masks).astype(np.uint8)})
+    args = ["sample", "--ckpt", ckpt, "--prompt", sample.caption,
+            "--subject", f"name={sample.descriptors[0]},image={img_path}",
+            "--condition-video", str(cond_path), "--condition-mask", str(mask_path),
+            "--steps", "2"]
+    assert main(args + ["--frames", "5", "--out", str(tmp_path / "ok.hc")]) == 0
+    assert PixelVideo.load(tmp_path / "ok.hc").frames == 5
+    capsys.readouterr()
+    # the 5-frame condition video encodes to 2 latent frames, 9 frames need 3
+    assert main(args + ["--frames", "9", "--out", str(tmp_path / "bad.hc")]) == 1
+    assert "error: condition video frame count mismatch" in capsys.readouterr().err
     assert not (tmp_path / "bad.hc").exists()

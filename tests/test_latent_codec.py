@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from hcustom import autograd as ag
 from hcustom.errors import (ConfigMismatchError, DimensionMismatchError,
                             NumericalFailureError)
 from hcustom.latent_codec import (CodecConfig, LatentCodec, LatentVideo,
                                   PixelVideo, latent_frame_count,
-                                  _upsample_conv, tokenize,
+                                  _grow_masks, _upsample_conv, tokenize,
                                   train_codec, untokenize)
 from hcustom.rope3d import video_positions
 
@@ -208,3 +209,16 @@ def test_codec_l1_roundtrip_gradients_match_finite_differences():
             flat[i] = old
             num = (hi - lo) / (2 * eps)
             assert abs(t.grad.reshape(-1)[i] - num) <= 1e-6 + 1e-4 * abs(num), (name, i)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 3])
+def test_grow_masks_matches_scipy_binary_dilation(steps):
+    # the codec's focus-mask dilation against scipy's, with the 4-neighbour
+    # cross inside each frame
+    masks = np.random.default_rng(steps).random((3, 11, 9)) > 0.93
+    masks[1, 0, 0] = masks[2, -1, 4] = True          # seeds on the border
+    cross = np.zeros((1, 3, 3), dtype=bool)
+    cross[0] = ndimage.generate_binary_structure(2, 1)
+    want = (ndimage.binary_dilation(masks, cross, iterations=steps) if steps
+            else masks)
+    np.testing.assert_array_equal(_grow_masks(masks.astype(np.uint8), steps), want)

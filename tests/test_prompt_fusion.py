@@ -3,9 +3,9 @@ import pytest
 
 from hcustom.errors import DuplicateDescriptorError, MissingDescriptorError
 from hcustom.latent_codec import PixelVideo
-from hcustom.prompt_fusion import (IMAGE_TOKENS, PromptSpec, Template,
-                                   build_template, fuse_t, tokenize_text,
-                                   toy_encoder)
+from hcustom.prompt_fusion import (IMAGE_GRID, IMAGE_TOKENS, PromptSpec, Template,
+                                   _template_tokens, adaptive_pool_image, build_template,
+                                   fuse_t, tokenize_text, toy_encoder)
 
 rng = np.random.default_rng(11)
 
@@ -13,6 +13,11 @@ rng = np.random.default_rng(11)
 def img(seed=0, size=16):
     r = np.random.default_rng(seed)
     return PixelVideo(r.random((1, size, size, 3), dtype=np.float32))
+
+
+def _tokens_of(provenance, counts, tag):
+    """Prompt tokens behind the rows tagged `tag`: the sum of their counts."""
+    return int(sum(c for p, c in zip(provenance, counts) if p == tag))
 
 
 def test_embedded_template_example():
@@ -46,40 +51,44 @@ def test_duplicate_descriptor_embedded():
 
 def test_sep_forgery_is_escaped():
     spec = PromptSpec("hello <SEP> world", [("world", img())], Template.image_appended)
-    _, provenance = fuse_t(spec, toy_encoder(0))
+    _, provenance, _ = fuse_t(spec, toy_encoder(0))
     assert provenance.count("sep") == 1  # only the template separator, not user text
 
 
 def test_fuse_counts_single_subject():
     spec = PromptSpec("a b c d e f", [("man", img())], Template.image_appended)
-    emb, provenance = fuse_t(spec, toy_encoder(0))
+    emb, provenance, counts = fuse_t(spec, toy_encoder(0))
     # 6 text + 1 sep + 4 identity-phrase words + 576 image tokens
-    assert len(provenance) == emb.shape[0] == 6 + 1 + 4 + IMAGE_TOKENS
+    assert len(provenance) == emb.shape[0] == len(counts)
+    assert counts.sum() == 6 + 1 + 4 + IMAGE_TOKENS
     assert provenance.count("sep") == 1
-    assert provenance.count("image-1") == IMAGE_TOKENS
+    assert _tokens_of(provenance, counts, "image-1") == IMAGE_TOKENS
 
 
 def test_fuse_counts_two_subjects():
     spec = PromptSpec("a red circle and a blue square",
                       [("circle", img(1)), ("square", img(2))],
                       Template.image_appended)
-    _, provenance = fuse_t(spec, toy_encoder(0))
+    _, provenance, counts = fuse_t(spec, toy_encoder(0))
     assert provenance.count("sep") == 2
-    assert provenance.count("image-1") + provenance.count("image-2") == 2 * IMAGE_TOKENS
+    assert _tokens_of(provenance, counts, "image-1") == IMAGE_TOKENS
+    assert _tokens_of(provenance, counts, "image-2") == IMAGE_TOKENS
 
 
 def test_fuse_no_subjects():
-    _, provenance = fuse_t(PromptSpec("a cat sits", []), toy_encoder(0))
+    _, provenance, counts = fuse_t(PromptSpec("a cat sits", []), toy_encoder(0))
+    assert list(counts) == [1, 1, 1]
     assert provenance.count("sep") == 0
     assert all(p == "text" for p in provenance)
 
 
 def test_image_block_deterministic():
     enc = toy_encoder(3)
-    a = enc.encode_image_t(img(5)).data
-    b = enc.encode_image_t(img(5)).data
-    np.testing.assert_array_equal(a, b)
-    assert a.shape == (IMAGE_TOKENS, enc.d_text)
+    a, ca = enc.encode_image_t(img(5))
+    b, cb = enc.encode_image_t(img(5))
+    np.testing.assert_array_equal(a.data, b.data)
+    np.testing.assert_array_equal(ca, cb)
+    assert a.shape == (len(ca), enc.d_text) and ca.sum() == IMAGE_TOKENS
 
 
 def test_one_pixel_change_hits_containing_cell():
@@ -87,10 +96,14 @@ def test_one_pixel_change_hits_containing_cell():
     base = img(5, size=48)
     bumped = PixelVideo(base.data.copy())
     bumped.data[0, 10, 33, 1] += 0.5
-    delta = np.abs(enc.encode_image_t(base).data - enc.encode_image_t(bumped).data)
-    changed = np.nonzero(delta.sum(axis=1))[0]
+    delta = np.abs(adaptive_pool_image(base.data[0]) - adaptive_pool_image(bumped.data[0]))
+    changed = np.nonzero(delta.sum(axis=2).reshape(-1))[0]
     cell = (10 * 24 // 48) * 24 + (33 * 24 // 48)
     assert cell in changed
+    # the bumped cell's colour is new, so the encoder gains a row for it
+    rows = {tuple(r) for r in enc.encode_image_t(base)[0].data}
+    bumped_rows = {tuple(r) for r in enc.encode_image_t(bumped)[0].data}
+    assert bumped_rows - rows
 
 
 def test_encode_text_empty():
@@ -100,11 +113,12 @@ def test_encode_text_empty():
 def test_swapping_subjects_permutes_blocks():
     a, b = img(1), img(2)
     enc = toy_encoder(0)
-    e1, p1 = fuse_t(PromptSpec("x", [("p", a), ("q", b)]), enc)
-    e2, p2 = fuse_t(PromptSpec("x", [("q", b), ("p", a)]), enc)
+    e1, p1, c1 = fuse_t(PromptSpec("x", [("p", a), ("q", b)]), enc)
+    e2, p2, c2 = fuse_t(PromptSpec("x", [("q", b), ("p", a)]), enc)
     i1 = [i for i, p in enumerate(p1) if p.startswith("image-1")]
     i2 = [i for i, p in enumerate(p2) if p.startswith("image-2")]
     np.testing.assert_array_equal(e1.data[i1], e2.data[i2])
+    np.testing.assert_array_equal(c1[i1], c2[i2])
     t1 = [i for i, p in enumerate(p1) if p == "text"]
     t2 = [i for i, p in enumerate(p2) if p == "text"]
     # text tokens differ only by descriptor word order; counts match
@@ -114,8 +128,52 @@ def test_swapping_subjects_permutes_blocks():
 def test_any_image_size_yields_576_tokens():
     enc = toy_encoder(0)
     for size in (8, 24, 30, 64):
-        assert enc.encode_image_t(img(0, size=size)).shape[0] == IMAGE_TOKENS
+        rows, counts = enc.encode_image_t(img(0, size=size))
+        assert rows.shape[0] == len(counts) and counts.sum() == IMAGE_TOKENS
 
 
 def test_tokenizer_splits_punctuation():
     assert tokenize_text("A man, playing!") == ["A", "man", ",", "playing", "!"]
+
+
+def flat_sprite(seed=0, size=48):
+    """A square of one colour on a flat background, as the identity images are."""
+    r = np.random.default_rng(seed)
+    data = np.broadcast_to(r.random(3, dtype=np.float32), (1, size, size, 3)).copy()
+    data[0, 8:24, 16:40] = r.random(3, dtype=np.float32)
+    return PixelVideo(data)
+
+
+def test_image_rows_are_the_distinct_pooled_colours_with_their_cell_counts():
+    enc = toy_encoder(4)
+    image = flat_sprite(3)
+    rows, counts = enc.encode_image_t(image)
+    pooled = adaptive_pool_image(image.data[0]).reshape(IMAGE_TOKENS, 3).astype(np.float32)
+    full = pooled @ enc.store["encoder.image.w"].data + enc.store["encoder.image.b"].data
+    # every cell's feature is one of the rows, found as often as its count says
+    distinct, per_row = np.unique(full, axis=0, return_counts=True)
+    assert len(rows.data) == len(distinct) < IMAGE_TOKENS
+    order = [int(np.argmin(np.abs(distinct - r).sum(axis=1))) for r in rows.data]
+    np.testing.assert_allclose(rows.data, distinct[order], rtol=0, atol=1e-6)
+    np.testing.assert_array_equal(counts, per_row[order])
+    assert counts.sum() == IMAGE_GRID ** 2
+
+
+@pytest.mark.parametrize("template", list(Template))
+def test_fused_rows_keep_the_template_order(template):
+    enc = toy_encoder(0)
+    spec = PromptSpec("a red circle and a blue square",
+                      [("circle", flat_sprite(1)), ("square", flat_sprite(2))], template)
+    emb, provenance, counts = fuse_t(spec, enc)
+    # runs of one tag, in the order of the template's tokens
+    runs = [p for i, p in enumerate(provenance) if i == 0 or p != provenance[i - 1]]
+    expected = [tag if tag != "image" else f"image-{value}"
+                for tag, value in _template_tokens(spec)]
+    expected = [p for i, p in enumerate(expected) if i == 0 or p != expected[i - 1]]
+    assert runs == expected
+    assert counts.sum() == len(_template_tokens(spec)) + 2 * (IMAGE_TOKENS - 1)
+    text_only, text_provenance, text_counts = fuse_t(spec, enc, include_images=False)
+    keep = [i for i, p in enumerate(provenance) if not p.startswith("image-")]
+    np.testing.assert_array_equal(text_only.data, emb.data[keep])
+    assert text_provenance == [provenance[i] for i in keep]
+    assert (text_counts == 1).all()

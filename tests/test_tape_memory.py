@@ -4,8 +4,9 @@
 ops keep alive until `backward()`, through their outputs and their VJP
 closures.  The test runs `flow_loss_t` once on a `single_subject` sample of
 33 frames at 64x64 (`configs/single_subject.json`: 64 identity and 576 video
-tokens, 589 fused prompt tokens, 4 blocks of width 128 and 4 heads) and
-bounds what the tape holds by the shapes of that run.
+tokens, 589 fused prompt tokens held as a few dozen distinct rows with counts,
+4 blocks of width 128 and 4 heads) and bounds what the tape holds by the
+shapes of that run.
 """
 
 import json
@@ -75,7 +76,8 @@ def kept_arrays(loss):
 
 @pytest.fixture(scope="module")
 def flow_train_tape():
-    """The loss of one flow_loss_t forward and the (B, L, S) of its attention calls."""
+    """The loss of one flow_loss_t forward, the (B, L, S) of its attention
+    calls and the key counts each call was given (None for self-attention)."""
     cfg = validate_config(json.loads(CONFIG.read_text()))
     sample = generate_sample(identity_pool(1, 1)[0], SceneParams(), seed=1)
     codec = LatentCodec(codec_config_from(cfg))
@@ -83,36 +85,47 @@ def flow_train_tape():
     model = CustomVideoModel(model_config_from(cfg))
     ps = prepare_samples(model, codec, stats, [sample], "single_subject", cfg["template"])[0]
     z0 = np.random.default_rng(0).standard_normal(ps.z1.shape).astype(np.float32)
-    calls = []
+    calls, counts = [], []
     attention = ag.attention
 
-    def recorded(q, k, v, scale):
+    def recorded(q, k, v, scale, key_counts=None):
         calls.append((q.shape[0], q.shape[1], k.shape[1]))
-        return attention(q, k, v, scale)
+        counts.append(key_counts)
+        return attention(q, k, v, scale, key_counts)
 
     ag.attention = recorded
     try:
         loss = flow_loss_t(model, ps, 0.5, z0)
     finally:
         ag.attention = attention
-    return loss, calls, model.config.backbone
+    return loss, calls, counts, model.config.backbone
 
 
 def test_flow_train_shape(flow_train_tape):
-    _, calls, bb = flow_train_tape
-    assert calls == [(4, 640, 640), (4, 640, 589)] * bb.blocks
+    _, calls, counts, bb = flow_train_tape
+    distinct = calls[1][2]
+    assert distinct < 589
+    assert calls == [(4, 640, 640), (4, 640, distinct)] * bb.blocks
+    assert counts[0::2] == [None] * bb.blocks
+    for c in counts[1::2]:
+        assert c.shape == (distinct,) and c.min() >= 1 and c.sum() == 589
 
 
 def test_tape_keeps_no_score_sized_array(flow_train_tape):
-    loss, calls, _ = flow_train_tape
-    smallest_scores = min(b * l * s for b, l, s in calls)
+    # the cross-attention scores (4 x 640 x the distinct prompt rows) are
+    # smaller than an MLP activation, so the size bound is the self-attention
+    # score size, and no kept array may have any call's score shape
+    loss, calls, _, _ = flow_train_tape
+    self_scores = min(b * l * s for b, l, s in calls if l == s)
     kept = kept_arrays(loss)
     biggest = max(kept.values(), key=lambda a: a.size)
-    assert biggest.size < smallest_scores, biggest.shape
+    assert biggest.size < self_scores, biggest.shape
+    score_shapes = set(calls)
+    assert not [a.shape for a in kept.values() if a.shape in score_shapes]
 
 
 def test_tape_bytes_stay_within_the_activation_bound(flow_train_tape):
-    loss, calls, bb = flow_train_tape
+    loss, calls, _, bb = flow_train_tape
     L = calls[0][1]
     itemsize = loss.data.itemsize
     bound = bb.blocks * PER_BLOCK_ACTIVATIONS * L * bb.width * itemsize
