@@ -9,6 +9,13 @@ no op ever draws randomness.  The module needs only numpy: `gelu` takes the
 normal cdf from the Abramowitz & Stegun 7.1.26 erfc approximation
 (absolute error at most 1.5e-7 in erf, so 7.5e-8 in the cdf).
 
+Tape: a `Tensor` is an array and a `Node`; ops link the nodes, and every
+VJP closure holds arrays, shapes and flags, never a tensor, so an
+activation lives only while the forward code or a VJP holds it.
+`layer_norm` only normalises: the backbone folds the affine parameters and
+its timestep modulation into the linear layers around it.  `split` cuts one
+array into views whose gradients are written into one buffer.
+
 Memory: `attention` never allocates its [B, L, S] scores.  It works on one
 tile of at most `_TILE` score elements at a time and keeps one log-sum-exp
 per row for the backward pass, which recomputes each tile.  An untaped
@@ -56,21 +63,55 @@ _EXP2_FLOOR = -100.0
 _TILE = 1 << 18
 
 
-class Tensor:
-    """A numpy array plus the tape bookkeeping needed for backward()."""
+class Node:
+    """One tape entry: the gradient being summed, the parent nodes and the VJP.
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    A node holds no activation.  Whatever array its VJP reads, the VJP's
+    closure holds, so an op's output lives only as long as the forward code
+    holds its tensor or a VJP holds the array.
+    """
 
-    def __init__(self, data, requires_grad=False, _parents=(), _vjp=None):
-        self.data = np.asarray(data)
+    __slots__ = ("grad", "requires_grad", "parents", "vjp")
+
+    def __init__(self, requires_grad):
         self.grad = None
         self.requires_grad = requires_grad
-        self._parents = _parents
-        self._vjp = _vjp
+        self.parents = ()
+        self.vjp = None
+
+
+class Tensor:
+    """A numpy array (`data`) and its tape node (`node`)."""
+
+    __slots__ = ("data", "node")
+
+    def __init__(self, data, requires_grad=False):
+        self.data = np.asarray(data)
+        self.node = Node(requires_grad)
 
     @property
     def shape(self):
         return self.data.shape
+
+    @property
+    def requires_grad(self):
+        return self.node.requires_grad
+
+    @property
+    def grad(self):
+        return self.node.grad
+
+    @grad.setter
+    def grad(self, value):
+        self.node.grad = value
+
+    @property
+    def _vjp(self):
+        return self.node.vjp
+
+    @_vjp.setter
+    def _vjp(self, vjp):
+        self.node.vjp = vjp
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -79,13 +120,14 @@ class Tensor:
         """Backpropagate from this (scalar) tensor through the tape."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
-        topo = _toposort(self)
-        self.grad = np.ones_like(self.data)
+        root = self.node
+        topo = _toposort(root)
+        root.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._vjp is None:
+            if node.vjp is None:
                 continue
-            grads = node._vjp(node.grad)
-            for parent, g in zip(node._parents, grads):
+            grads = node.vjp(node.grad)
+            for parent, g in zip(node.parents, grads):
                 if g is None or not parent.requires_grad:
                     continue
                 if parent.grad is None:
@@ -93,13 +135,15 @@ class Tensor:
                 else:
                     parent.grad = parent.grad + g
             # free intermediate grads and the tape edge eagerly
-            if node is not self:
+            if node is not root:
                 node.grad = None
-                node._parents = ()
-                node._vjp = None
+                node.parents = ()
+                node.vjp = None
 
 
 def _toposort(root):
+    """The nodes that `root` depends on through nodes requiring a gradient,
+    parents before children."""
     order, visited, stack = [], set(), [(root, False)]
     while stack:
         node, processed = stack.pop()
@@ -110,7 +154,7 @@ def _toposort(root):
             continue
         visited.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
+        for p in node.parents:
             if p.requires_grad and id(p) not in visited:
                 stack.append((p, False))
     return order
@@ -132,12 +176,16 @@ class no_grad:
 
 
 def _make(data, parents, vjp):
-    if not _GRAD_ENABLED[-1]:
-        return Tensor(data)
-    tracked = tuple(p for p in parents if isinstance(p, Tensor))
-    if any(p.requires_grad for p in tracked):
-        return Tensor(data, requires_grad=True, _parents=tracked, _vjp=vjp)
-    return Tensor(data)
+    """The tensor of an op's output `data`.  When taping and some parent
+    tensor requires a gradient, its node records the parents' nodes and
+    `vjp`, which maps the output's gradient to one gradient per parent."""
+    out = Tensor(data)
+    if _GRAD_ENABLED[-1] and any(p.requires_grad for p in parents):
+        node = out.node
+        node.requires_grad = True
+        node.parents = tuple(p.node for p in parents)
+        node.vjp = vjp
+    return out
 
 
 def _unbroadcast(g, shape):
@@ -158,12 +206,12 @@ def _unbroadcast(g, shape):
 
 
 def add(a, b):
+    sa = a.data.shape
     if isinstance(b, Tensor):
-        data = a.data + b.data
-        return _make(data, (a, b), lambda g: (_unbroadcast(g, a.data.shape),
-                                              _unbroadcast(g, b.data.shape)))
-    data = a.data + b
-    return _make(data, (a,), lambda g: (_unbroadcast(g, a.data.shape),))
+        sb = b.data.shape
+        return _make(a.data + b.data, (a, b),
+                     lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
+    return _make(a.data + b, (a,), lambda g: (_unbroadcast(g, sa),))
 
 
 def mul(a, b):
@@ -172,8 +220,8 @@ def mul(a, b):
         ad, bd = a.data, b.data
         return _make(data, (a, b), lambda g: (_unbroadcast(g * bd, ad.shape),
                                               _unbroadcast(g * ad, bd.shape)))
-    data = a.data * b
-    return _make(data, (a,), lambda g: (_unbroadcast(g * b, a.data.shape),))
+    sa = a.data.shape
+    return _make(a.data * b, (a,), lambda g: (_unbroadcast(g * b, sa),))
 
 
 def matmul(a, b, bias=None):
@@ -189,16 +237,18 @@ def matmul(a, b, bias=None):
     data = (ad.reshape(-1, ad.shape[-1]) @ bd).reshape(ad.shape[:-1] + bd.shape[-1:])
     if bias is not None:
         data += bias.data
+    need_ga = a.requires_grad
+    bias_shape = None if bias is None else bias.data.shape
 
     def vjp(g):
         ga = None
         g = g.reshape(-1, bd.shape[-1])
-        if a.requires_grad:
+        if need_ga:
             ga = (g @ bd.T).reshape(ad.shape)
         gb = ad.reshape(-1, ad.shape[-1]).T @ g
-        if bias is None:
+        if bias_shape is None:
             return ga, gb
-        return ga, gb, _unbroadcast(g, bias.data.shape)
+        return ga, gb, _unbroadcast(g, bias_shape)
 
     parents = (a, b) if bias is None else (a, b, bias)
     return _make(data, parents, vjp)
@@ -417,19 +467,33 @@ def concat(tensors, axis=0):
     return _make(np.concatenate(datas, axis=axis), tuple(tensors), vjp)
 
 
-def slice_axis(a, axis, start, stop):
-    """Contiguous slice a[..., start:stop, ...] along `axis`."""
-    idx = [slice(None)] * a.data.ndim
-    idx[axis] = slice(start, stop)
-    idx = tuple(idx)
-    shape = a.data.shape
+def split(a, keys):
+    """The pieces a[key] for each basic index `key` (slices and integers) in
+    `keys`, as one op; the keys must select disjoint parts of a.
 
-    def vjp(g):
-        out = np.zeros(shape, dtype=g.dtype)
-        out[idx] = g
-        return (out,)
+    Each piece is a view of a.  Backward, the first piece to receive a
+    gradient allocates one a-sized buffer, zero where no piece writes, and
+    every piece writes its gradient into its own part of it; the buffer
+    reaches a once, through a node that stands between a and the pieces.
+    """
+    ad = a.data
+    pieces = [ad[key] for key in keys]
+    if not (_GRAD_ENABLED[-1] and a.requires_grad):
+        return [Tensor(p) for p in pieces]
+    shape = ad.shape
+    buf = []
+    src = _make(ad, (a,), lambda g: (g,))
 
-    return _make(a.data[idx], (a,), vjp)
+    def piece(key):
+        def vjp(g):
+            first = not buf             # later pieces write into what src holds
+            if first:
+                buf.append(np.zeros(shape, dtype=g.dtype))
+            buf[0][key] = g
+            return (buf[0] if first else None,)
+        return vjp
+
+    return [_make(p, (src,), piece(key)) for p, key in zip(pieces, keys)]
 
 
 def sum_(a):
@@ -456,27 +520,26 @@ def embedding(table, idx):
     return _make(table.data[idx], (table,), vjp)
 
 
-def layer_norm(x, gamma, beta, eps=1e-5):
-    """Normalize over the last axis, then scale and shift."""
+def layer_norm(x, eps=1e-5):
+    """Normalise over the last axis: (x - mean) / sqrt(var + eps).
+
+    No scale or shift: its callers fold those into the linear layer that
+    reads the output (`Backbone._norm_linear`).  The VJP keeps the output
+    and one 1/std per row.
+    """
     xd = x.data
     mu = xd.mean(axis=-1, keepdims=True)
-    xc = xd - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xh = xd - mu
+    var = (xh * xh).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xh = xc * inv
-    data = xh * gamma.data + beta.data
+    xh *= inv
     d = xd.shape[-1]
 
     def vjp(g):
-        lead = tuple(range(g.ndim - 1))
-        dgamma = (g * xh).sum(axis=lead)
-        dbeta = g.sum(axis=lead)
-        dxh = g * gamma.data
-        dx = inv * (dxh - dxh.mean(axis=-1, keepdims=True)
-                    - xh * (dxh * xh).sum(axis=-1, keepdims=True) / d)
-        return dx, dgamma, dbeta
+        return (inv * (g - g.mean(axis=-1, keepdims=True)
+                       - xh * (g * xh).sum(axis=-1, keepdims=True) / d),)
 
-    return _make(data, (x, gamma, beta), vjp)
+    return _make(xh, (x,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -539,11 +602,14 @@ def conv2d(x, w, b=None, stride=1, pad=0):
         if b is not None:
             out += b.data
 
+    need_gx, has_bias = x.requires_grad, b is not None
+    xp_shape, xp_dtype = xp.shape, xp.dtype
+
     def vjp(g):
         gf = g.reshape(n * ho * wo, co)
         gw = (cols.T @ gf).reshape(wd.shape)
-        gb = gf.sum(axis=0) if b is not None else None
-        if not x.requires_grad:
+        gb = gf.sum(axis=0) if has_bias else None
+        if not need_gx:
             gx = None
         elif stride == 1 and pad < min(kh, kw):
             gp = _pad_hw(g, kh - 1 - pad, kw - 1 - pad)
@@ -551,12 +617,12 @@ def conv2d(x, w, b=None, stride=1, pad=0):
             gx = (_im2col(gp, kh, kw, 1, h, wdt) @ wt).reshape(n, h, wdt, ci)
         else:
             gcols = (gf @ wf.T).reshape(n, ho, wo, kh, kw, ci)
-            gxp = np.zeros_like(xp)
+            gxp = np.zeros(xp_shape, dtype=xp_dtype)
             for i in range(kh):
                 for j in range(kw):
                     gxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride, :] += gcols[:, :, :, i, j, :]
             gx = gxp[:, pad:pad + h, pad:pad + wdt, :] if pad else gxp
-        if b is not None:
+        if has_bias:
             return gx, gw, gb
         return gx, gw
 

@@ -6,6 +6,13 @@ weighted by the number of prompt tokens it stands for), and a feed-forward,
 every sub-layer modulated (shift/scale/gate) by the flow timestep
 embedding.  The output projection is zero-initialized, so a freshly
 built model predicts exactly zero velocity.
+
+The modulation is folded into the linear layers (adaLN-Zero, DiT): the
+layer norm's gamma and beta, (1 + scale) and shift become a [d, k] weight
+and a [k] bias of the layer that reads the norm (`_norm_linear`), and each
+gate scales the weight columns and bias of the layer before the residual
+add (`_gated_linear`).  The result is the unfolded one in real arithmetic,
+and no [L, d] array is written for the modulation.
 """
 
 from __future__ import annotations
@@ -113,6 +120,30 @@ class Backbone:
         x = ag.transpose(x, (1, 0, 2))
         return ag.reshape(x, (length, self.config.width))
 
+    def _norm_linear(self, x: ag.Tensor, ln: str, w: str, bias: str,
+                     shift: ag.Tensor | None = None,
+                     scale: ag.Tensor | None = None) -> ag.Tensor:
+        """The linear layer (`w`, `bias`) of the layer norm `ln` of x, modulated.
+
+        With xh = layer_norm(x), (xh γ + β)(1 + scale) + shift, then @ W + b,
+        is one product: xh @ (diag(γ (1 + scale)) W) + ((β (1 + scale) + shift)
+        @ W + b).  The folded weight and bias are [d, k] and [k] ops, so no
+        [L, d] array is written between the norm and the product.  Without
+        `scale` and `shift` it is the plain affine norm.
+        """
+        st = self.store
+        gain, offset, wt = st[f"{ln}.g"], st[f"{ln}.b"], st[w]
+        if scale is not None:
+            s1 = ag.add(scale, 1.0)
+            gain = ag.mul(gain, s1)
+            offset = ag.add(ag.mul(offset, s1), shift)
+        folded = ag.mul(wt, ag.reshape(gain, (-1, 1)))
+        return ag.matmul(ag.layer_norm(x), folded, ag.matmul(offset, wt, st[bias]))
+
+    def _gated_linear(self, h: ag.Tensor, w: str, bias: str, gate: ag.Tensor) -> ag.Tensor:
+        """(h @ W + b) * gate as one product: h @ (W gate) + b gate."""
+        return ag.matmul(h, ag.mul(self.store[w], gate), ag.mul(self.store[bias], gate))
+
     def _attend(self, q, k, v, counts=None):
         scale = 1.0 / float(np.sqrt(self.config.head_dim))  # python float: no upcast
         return ag.attention(q, k, v, scale, counts)
@@ -156,46 +187,35 @@ class Backbone:
         for i in range(cfg.blocks):
             b = f"{p}.blk{i}"
             mod = ag.matmul(e, self.store[f"{b}.mod.w"], self.store[f"{b}.mod.b"])
-            parts = [ag.slice_axis(mod, 1, j * d, (j + 1) * d) for j in range(9)]
+            (shift1, scale1, gate1, shift2, scale2, gate2,
+             shift3, scale3, gate3) = ag.split(mod, [np.s_[:, j * d:(j + 1) * d]
+                                                     for j in range(9)])
             # self-attention over latent tokens with rotary q/k
-            h = ag.layer_norm(x, self.store[f"{b}.ln1.g"], self.store[f"{b}.ln1.b"])
-            h = ag.add(ag.mul(h, ag.add(parts[1], 1.0)), parts[0])
-            qkv = ag.matmul(h, self.store[f"{b}.qkv.w"], self.store[f"{b}.qkv.b"])
+            qkv = self._norm_linear(x, f"{b}.ln1", f"{b}.qkv.w", f"{b}.qkv.b", shift1, scale1)
             qkv = ag.reshape(qkv, (L, 3, cfg.heads, cfg.head_dim))
-            q = ag.reshape(ag.slice_axis(qkv, 1, 0, 1), (L, cfg.heads, cfg.head_dim))
-            k = ag.reshape(ag.slice_axis(qkv, 1, 1, 2), (L, cfg.heads, cfg.head_dim))
-            v = ag.reshape(ag.slice_axis(qkv, 1, 2, 3), (L, cfg.heads, cfg.head_dim))
+            q, k, v = ag.split(qkv, [np.s_[:, j] for j in range(3)])   # [L, H, dh]
             q = apply_rotation(q, rope_cos, rope_sin, rope)
             k = apply_rotation(k, rope_cos, rope_sin, rope)
             o = self._attend(ag.transpose(q, (1, 0, 2)), ag.transpose(k, (1, 0, 2)),
                              ag.transpose(v, (1, 0, 2)))
-            o = ag.matmul(self._merge_heads(o, L), self.store[f"{b}.ao.w"],
-                          self.store[f"{b}.ao.b"])
-            x = ag.add(x, ag.mul(o, parts[2]))
+            x = ag.add(x, self._gated_linear(self._merge_heads(o, L), f"{b}.ao.w",
+                                             f"{b}.ao.b", gate1))
             # cross-attention to the fused prompt
             if n_text:
-                h = ag.layer_norm(x, self.store[f"{b}.ln2.g"], self.store[f"{b}.ln2.b"])
-                h = ag.add(ag.mul(h, ag.add(parts[4], 1.0)), parts[3])
-                q = self._split_heads(ag.matmul(h, self.store[f"{b}.xq.w"],
-                                                self.store[f"{b}.xq.b"]), L)
+                q = self._split_heads(self._norm_linear(x, f"{b}.ln2", f"{b}.xq.w",
+                                                        f"{b}.xq.b", shift2, scale2), L)
                 kv = ag.matmul(prompt, self.store[f"{b}.xkv.w"], self.store[f"{b}.xkv.b"])
                 kv = ag.reshape(kv, (n_text, 2, cfg.heads, cfg.head_dim))
-                k = ag.transpose(ag.reshape(ag.slice_axis(kv, 1, 0, 1),
-                                            (n_text, cfg.heads, cfg.head_dim)), (1, 0, 2))
-                v = ag.transpose(ag.reshape(ag.slice_axis(kv, 1, 1, 2),
-                                            (n_text, cfg.heads, cfg.head_dim)), (1, 0, 2))
+                k, v = (ag.transpose(a, (1, 0, 2))
+                        for a in ag.split(kv, [np.s_[:, 0], np.s_[:, 1]]))
                 o = self._attend(q, k, v, counts)
-                o = ag.matmul(self._merge_heads(o, L), self.store[f"{b}.xo.w"],
-                              self.store[f"{b}.xo.b"])
-                x = ag.add(x, ag.mul(o, parts[5]))
+                x = ag.add(x, self._gated_linear(self._merge_heads(o, L), f"{b}.xo.w",
+                                                 f"{b}.xo.b", gate2))
             # feed-forward
-            h = ag.layer_norm(x, self.store[f"{b}.ln3.g"], self.store[f"{b}.ln3.b"])
-            h = ag.add(ag.mul(h, ag.add(parts[7], 1.0)), parts[6])
-            h = ag.gelu(ag.matmul(h, self.store[f"{b}.mlp.w1"], self.store[f"{b}.mlp.b1"]))
-            h = ag.matmul(h, self.store[f"{b}.mlp.w2"], self.store[f"{b}.mlp.b2"])
-            x = ag.add(x, ag.mul(h, parts[8]))
-        x = ag.layer_norm(x, self.store[f"{p}.final.g"], self.store[f"{p}.final.b"])
-        out = ag.matmul(x, self.store[f"{p}.out.w"], self.store[f"{p}.out.b"])
+            h = ag.gelu(self._norm_linear(x, f"{b}.ln3", f"{b}.mlp.w1", f"{b}.mlp.b1",
+                                          shift3, scale3))
+            x = ag.add(x, self._gated_linear(h, f"{b}.mlp.w2", f"{b}.mlp.b2", gate3))
+        out = self._norm_linear(x, f"{p}.final", f"{p}.out.w", f"{p}.out.b")
         if not np.isfinite(out.data).all():
             raise NumericalFailureError("backbone produced NaN/Inf activations")
         return out

@@ -8,7 +8,9 @@ produces byte-identical files, which the determinism acceptance criterion
 relies on.  Reading checks the header length against the file size before
 reading the header, and every entry against the body before building its
 array, so a damaged file raises `ContainerError`, never a raw decoding error
-or an allocation the file cannot back.
+or an allocation the file cannot back.  The layout is checked too: names are
+unique, and each entry begins where the one before it ends (the first at the
+start of the body), with no bytes after the last.
 """
 
 from __future__ import annotations
@@ -61,8 +63,9 @@ def save_container(path, arrays: dict[str, np.ndarray], meta: dict | None = None
         raise
 
 
-def _entry_array(path, entry, body: bytes) -> tuple[str, np.ndarray]:
-    """The (name, array) of one header entry, checked against the body."""
+def _entry_array(path, entry, body: bytes, start: int) -> tuple[str, np.ndarray, int]:
+    """The (name, array, end offset) of one header entry, checked against the
+    body; the entry must begin at `start`, where the one before it ended."""
     try:
         name, dtype = entry["name"], np.dtype(entry["dtype"])
         shape, offset, nbytes = tuple(entry["shape"]), entry["offset"], entry["nbytes"]
@@ -73,11 +76,15 @@ def _entry_array(path, entry, body: bytes) -> tuple[str, np.ndarray]:
         raise ContainerError(f"{path}: malformed array entry {str(entry)[:80]}")
     if offset + nbytes > len(body):
         raise ContainerError(f"{path}: truncated array {name!r}")
+    if offset != start:
+        kind = "overlaps the array before it" if offset < start else "leaves a gap before it"
+        raise ContainerError(f"{path}: array {name!r} at byte {offset} {kind} "
+                             f"(which ends at byte {start})")
     if math.prod(shape) * dtype.itemsize != nbytes:
         raise ContainerError(f"{path}: array {name!r} of shape {list(shape)} and dtype "
                              f"{dtype.str} does not fill its {nbytes} bytes")
     raw = body[offset:offset + nbytes]
-    return name, np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+    return name, np.frombuffer(raw, dtype=dtype).reshape(shape).copy(), offset + nbytes
 
 
 def load_container(path) -> tuple[dict[str, np.ndarray], dict]:
@@ -101,5 +108,12 @@ def load_container(path) -> tuple[dict[str, np.ndarray], dict]:
     if not (isinstance(header, dict) and isinstance(header.get("arrays"), list)
             and isinstance(header.get("meta"), dict)):
         raise ContainerError(f"{path}: the header holds no array list and meta record")
-    arrays = dict(_entry_array(path, entry, body) for entry in header["arrays"])
+    arrays, end = {}, 0
+    for entry in header["arrays"]:
+        name, arr, end = _entry_array(path, entry, body, end)
+        if name in arrays:
+            raise ContainerError(f"{path}: array name {name!r} repeats")
+        arrays[name] = arr
+    if end != len(body):
+        raise ContainerError(f"{path}: {len(body) - end} body bytes follow the last array")
     return arrays, header["meta"]

@@ -64,7 +64,7 @@ def flow_loss_t(model: CustomVideoModel, ps: PreparedSample, t: float,
     zt, u = interpolate(z0, ps.z1, t)
     v = model.velocity_t(ps, ag.Tensor(zt.astype(model.store.dtype)), t)
     n_id = v.shape[0] - ps.n_video_tokens
-    v_video = ag.slice_axis(v, 0, n_id, v.shape[0]) if n_id else v
+    v_video = ag.split(v, [np.s_[n_id:]])[0] if n_id else v
     diff = ag.add(v_video, -u.astype(model.store.dtype))
     return ag.mean_(ag.mul(diff, diff))
 

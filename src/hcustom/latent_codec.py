@@ -224,8 +224,8 @@ class LatentCodec:
         fp = x.shape[0]
         feats = self._spatial_encode(x)  # [f', h, w, cs]
         h, w, cs = feats.shape[1], feats.shape[2], feats.shape[3]
-        first = ag.matmul(ag.slice_axis(feats, 0, 0, 1),
-                          self.store["enc.first.w"], self.store["enc.first.b"])
+        (first,) = ag.split(feats, [np.s_[:1]])
+        first = ag.matmul(first, self.store["enc.first.w"], self.store["enc.first.b"])
         f = latent_frame_count(fp)
         if f == 1:
             return first
@@ -241,11 +241,9 @@ class LatentCodec:
         """Taped decode of [f,h,w,c] to unclamped [4(f-1)+1,H,W,3]."""
         f = z.shape[0]
         cs = self._stage_channels()[-1]
-        first = ag.matmul(ag.slice_axis(z, 0, 0, 1),
-                          self.store["dec.first.w"], self.store["dec.first.b"])
-        feats = [first]
+        first, rest = ag.split(z, [np.s_[:1], np.s_[1:]])
+        feats = [ag.matmul(first, self.store["dec.first.w"], self.store["dec.first.b"])]
         if f > 1:
-            rest = ag.slice_axis(z, 0, 1, f)
             group = ag.matmul(rest, self.store["dec.group.w"], self.store["dec.group.b"])
             h, w = z.shape[1], z.shape[2]
             group = ag.reshape(group, (f - 1, h, w, TEMPORAL_STRIDE, cs))
@@ -350,12 +348,8 @@ def _upsample_conv(x: ag.Tensor, w: ag.Tensor, b: ag.Tensor) -> ag.Tensor:
     _, h, wd, _ = x.shape
     co = w.shape[3]
     y = ag.conv2d(x, _phase_kernels(w), stride=1, pad=1)   # [n, h+1, wd+1, 4*Co]
-    phases = []
-    for a in range(2):
-        for c in range(2):
-            j = 2 * a + c
-            p = ag.slice_axis(y, 3, j * co, (j + 1) * co)
-            phases.append(ag.slice_axis(ag.slice_axis(p, 1, a, a + h), 2, c, c + wd))
+    phases = ag.split(y, [np.s_[:, a:a + h, c:c + wd, (2 * a + c) * co:(2 * a + c + 1) * co]
+                          for a in range(2) for c in range(2)])
     return ag.add(_depth_to_space(ag.concat(phases, axis=3), 2), b)
 
 

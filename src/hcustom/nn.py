@@ -52,6 +52,8 @@ class ParamStore:
         return {name: p.data.copy() for name, p in self.items()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]):
+        """Take over the arrays of `state`, copying only those of another
+        dtype or layout; Adam then updates them in place."""
         missing = set(self._params) - set(state)
         extra = set(state) - set(self._params)
         if missing or extra:
@@ -76,7 +78,12 @@ def conv_init(rng: np.random.Generator, kh, kw, cin, cout):
 
 
 class Adam:
-    """Adam with global gradient-norm clipping; updates are name-ordered."""
+    """Adam with global gradient-norm clipping; updates are name-ordered.
+
+    Each step updates the moments and the parameters in place, through two
+    scratch buffers the size of the largest parameter, in the order of the
+    textbook formula, so the arithmetic is that of the unfused expressions.
+    """
 
     def __init__(self, store: ParamStore, lr=1e-3, betas=(0.9, 0.999), eps=1e-8,
                  clip_norm=1.0):
@@ -88,6 +95,8 @@ class Adam:
         self.t = 0
         self._m = {name: np.zeros_like(p.data) for name, p in store.items()}
         self._v = {name: np.zeros_like(p.data) for name, p in store.items()}
+        size = max((m.size for m in self._m.values()), default=0)
+        self._scratch = np.empty((2, size), dtype=store.dtype)
 
     def step(self):
         grads = {}
@@ -97,7 +106,7 @@ class Adam:
             grads[name] = p.grad
         if not grads:
             return 0.0
-        norm = float(np.sqrt(sum(float((g.astype(np.float64) ** 2).sum())
+        norm = float(np.sqrt(sum(float(np.square(g, dtype=np.float64).sum())
                                  for g in grads.values())))
         scale = 1.0
         if self.clip_norm is not None and norm > self.clip_norm:
@@ -107,14 +116,26 @@ class Adam:
         b2t = 1.0 - self.b2 ** self.t
         for name in sorted(grads):
             p = self.store[name]
-            g = grads[name] * scale if scale != 1.0 else grads[name]
             m = self._m[name]
             v = self._v[name]
+            s1, s2 = (buf[:m.size].reshape(m.shape) for buf in self._scratch)
+            g = grads[name]
+            if scale != 1.0:
+                g = np.multiply(g, scale, out=s1)
             m *= self.b1
-            m += (1.0 - self.b1) * g
+            m += np.multiply(g, 1.0 - self.b1, out=s2)
             v *= self.b2
-            v += (1.0 - self.b2) * (g * g)
-            p.data = p.data - self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            np.multiply(g, g, out=s2)
+            s2 *= 1.0 - self.b2
+            v += s2
+            # p -= lr * (m / b1t) / (sqrt(v / b2t) + eps)
+            np.divide(v, b2t, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += self.eps
+            np.divide(m, b1t, out=s1)
+            s1 *= self.lr
+            s1 /= s2
+            p.data -= s1
         return norm
 
 

@@ -109,3 +109,50 @@ def test_entry_past_the_end_of_the_body(tmp_path, entry):
     path = _write(tmp_path / "c.hc", {"arrays": [entry], "meta": {}}, bytes(24))
     with pytest.raises(ContainerError, match="truncated array"):
         load_container(path)
+
+
+def _two_entries(second_offset, second_name="y"):
+    return {"arrays": [_entry(), _entry(offset=second_offset, name=second_name)], "meta": {}}
+
+
+def test_repeated_array_name(tmp_path):
+    path = _write(tmp_path / "c.hc", _two_entries(24, second_name="x"), bytes(48))
+    with pytest.raises(ContainerError, match="'x' repeats"):
+        load_container(path)
+
+
+def test_overlapping_entries(tmp_path):
+    path = _write(tmp_path / "c.hc", _two_entries(16), bytes(48))
+    with pytest.raises(ContainerError, match="overlaps"):
+        load_container(path)
+
+
+def test_gap_between_entries(tmp_path):
+    path = _write(tmp_path / "c.hc", _two_entries(32), bytes(56))
+    with pytest.raises(ContainerError, match="gap"):
+        load_container(path)
+
+
+def test_gap_before_the_first_entry(tmp_path):
+    path = _write(tmp_path / "c.hc", {"arrays": [_entry(offset=8)], "meta": {}}, bytes(32))
+    with pytest.raises(ContainerError, match="gap"):
+        load_container(path)
+
+
+def test_trailing_body_bytes(tmp_path):
+    save_container(tmp_path / "c.hc", {"x": np.ones((2, 3), np.float32)})
+    whole = (tmp_path / "c.hc").read_bytes()
+    (tmp_path / "long.hc").write_bytes(whole + b"\x00")
+    with pytest.raises(ContainerError, match="1 body bytes follow"):
+        load_container(tmp_path / "long.hc")
+
+
+def test_saved_entries_lie_back_to_back_in_header_order(tmp_path):
+    arrays = {"b": np.ones(3), "a": np.zeros((2, 2), np.float32), "e": np.zeros(0)}
+    save_container(tmp_path / "c.hc", arrays)
+    raw = (tmp_path / "c.hc").read_bytes()
+    hlen = int.from_bytes(raw[8:16], "little")
+    entries = json.loads(raw[16:16 + hlen])["arrays"]
+    assert [e["name"] for e in entries] == ["b", "a", "e"]
+    assert [e["offset"] for e in entries] == [0, 24, 40]
+    assert len(raw) - 16 - hlen == 40

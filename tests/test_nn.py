@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hcustom import autograd as ag
-from hcustom.nn import ParamStore, fit
+from hcustom.nn import Adam, ParamStore, fit
 
 TARGETS = np.arange(12.0).reshape(4, 3)
 
@@ -40,3 +40,38 @@ def test_fit_draws_distinct_items_per_step_and_zeroes_gradients_once(batch_size,
     assert losses[0] == pytest.approx(np.mean([(TARGETS[i] ** 2).mean() for i in first]))
     assert len(losses) == 3
 
+
+
+@pytest.mark.parametrize("clip_norm", [None, 0.5])
+def test_adam_step_equals_the_unfused_formula_bitwise(clip_norm):
+    # the in-place update against the expressions it replaced, from a random
+    # state at t = 3, with and without a clipping scale
+    local = np.random.default_rng(23)
+    shapes = {"a": (7, 5), "b": (11,), "c": (3, 4, 2)}
+    store = ParamStore(dtype=np.float32)
+    for name, shape in shapes.items():
+        store.parameter(name, local.normal(size=shape))
+    opt = Adam(store, lr=3e-3, clip_norm=clip_norm)
+    opt.t = 3
+    want = {}
+    grads = {n: local.normal(size=s).astype(np.float32) for n, s in shapes.items()}
+    norm = float(np.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads.values())))
+    scale = clip_norm / norm if clip_norm is not None and norm > clip_norm else 1.0
+    b1t, b2t = 1.0 - opt.b1 ** 4, 1.0 - opt.b2 ** 4
+    for name, p in store.items():
+        opt._m[name][...] = local.normal(size=p.shape)
+        opt._v[name][...] = local.random(size=p.shape)
+        p.grad = grads[name].copy()
+        g = grads[name] * scale if scale != 1.0 else grads[name]
+        m = opt._m[name] * opt.b1 + (1.0 - opt.b1) * g
+        v = opt._v[name] * opt.b2 + (1.0 - opt.b2) * (g * g)
+        want[name] = (p.data - opt.lr * (m / b1t) / (np.sqrt(v / b2t) + opt.eps), m, v)
+    assert opt.step() == norm
+    assert (scale != 1.0) == (clip_norm is not None)
+    for name, p in store.items():
+        data, m, v = want[name]
+        assert p.data.dtype == np.float32
+        np.testing.assert_array_equal(p.data, data)
+        np.testing.assert_array_equal(opt._m[name], m)
+        np.testing.assert_array_equal(opt._v[name], v)
+        np.testing.assert_array_equal(p.grad, grads[name])   # the gradient is not scaled in place
