@@ -11,17 +11,21 @@ normal cdf from the Abramowitz & Stegun 7.1.26 erfc approximation
 
 Tape: a `Tensor` is an array and a `Node`; ops link the nodes, and every
 VJP closure holds arrays, shapes and flags, never a tensor, so an
-activation lives only while the forward code or a VJP holds it.
-`layer_norm` only normalises: the backbone folds the affine parameters and
-its timestep modulation into the linear layers around it.  `split` cuts one
-array into views whose gradients are written into one buffer.
+activation lives only while the forward code or a VJP holds it.  No op
+keeps what its VJP can rebuild cheaply: `matmul` forms w * scale in each
+pass, and `gelu_matmul` keeps only its input.  `layer_norm` only
+normalises: the backbone folds the affine parameters and its timestep
+modulation into the linear layers around it, as `matmul`'s `scale`.
+`split` cuts one array into views whose gradients are written into one
+buffer.
 
 Memory: `attention` never allocates its [B, L, S] scores.  It works on one
 tile of at most `_TILE` score elements at a time and keeps one log-sum-exp
 per row for the backward pass, which recomputes each tile.  An untaped
 `conv2d` builds its im2col columns in chunks of frames of at most `_TILE`
 elements; a taped call keeps all of them, for its VJP.  `matmul` adds a
-bias in place, so a linear layer is one tape op.
+bias in place, so a linear layer is one tape op.  `gelu_matmul` runs its
+GELU in row blocks whose working arrays total at most `_TILE` elements.
 
 Time: `attention` works on base-2 scores with exp2.  When one Cauchy-Schwarz
 bound per call proves every score within +-64, it skips the row-max pass;
@@ -58,8 +62,9 @@ _LOG2E = 1.0 / math.log(2.0)
 _SCORE_BOUND = 64.0
 _EXP2_FLOOR = -100.0
 
-# Elements in one working tile: an attention score tile (see `attention`)
-# or the im2col columns of one frame chunk of an untaped `conv2d`.
+# Elements in one working tile: an attention score tile (see `attention`),
+# the im2col columns of one frame chunk of an untaped `conv2d`, or the
+# working arrays of one row block of `gelu_matmul`'s GELU.
 _TILE = 1 << 18
 
 
@@ -224,33 +229,54 @@ def mul(a, b):
     return _make(a.data * b, (a,), lambda g: (_unbroadcast(g * b, sa),))
 
 
-def matmul(a, b, bias=None):
-    """a @ b for a 2-D b (a weight), plus `bias` when given, as one tape op.
+def _folded(wd, sd):
+    """The weight w * scale of `matmul` and `gelu_matmul`; w itself without a scale."""
+    return wd if sd is None else wd * sd
+
+
+def _weight_grads(x2, g2, wd, sd, bias_shape):
+    """The gradients of w, the bias (when `bias_shape` is not None) and
+    scale (when `sd` is not None) of x2 @ (w * scale) + bias, given g2, the
+    [rows, k] gradient of the output, and x2, the [rows, n] left operand.
+    Those of w and scale are `mul(w, scale)`'s, given the folded weight's."""
+    gws = x2.T @ g2
+    grads = [gws if sd is None else gws * sd]
+    if bias_shape is not None:
+        grads.append(_unbroadcast(g2, bias_shape))
+    if sd is not None:
+        grads.append(_unbroadcast(gws * wd, sd.shape))
+    return tuple(grads)
+
+
+def matmul(a, w, bias=None, scale=None):
+    """a @ (w * scale) + bias for a 2-D w (a weight), as one tape op.
 
     This is the linear layer of every model.  The leading axes of a are
     flattened into the rows of one matrix product, forward and backward.
     The bias is added in place to the product, so the tape keeps no separate
     product array.  The gradient of a is skipped when a does not require one
     (the input of a model's first layer).
+
+    `scale`, when given, broadcasts against w: a [n, 1] gain scales its rows
+    and a [1, k] gate its columns.  The forward pass and the VJP each form
+    w * scale as a temporary, so the tape keeps w and scale, not the folded
+    weight.
     """
-    ad, bd = a.data, b.data
-    data = (ad.reshape(-1, ad.shape[-1]) @ bd).reshape(ad.shape[:-1] + bd.shape[-1:])
+    ad, wd = a.data, w.data
+    sd = None if scale is None else scale.data
+    a2 = ad.reshape(-1, ad.shape[-1])
+    data = (a2 @ _folded(wd, sd)).reshape(ad.shape[:-1] + wd.shape[-1:])
     if bias is not None:
         data += bias.data
     need_ga = a.requires_grad
     bias_shape = None if bias is None else bias.data.shape
 
     def vjp(g):
-        ga = None
-        g = g.reshape(-1, bd.shape[-1])
-        if need_ga:
-            ga = (g @ bd.T).reshape(ad.shape)
-        gb = ad.reshape(-1, ad.shape[-1]).T @ g
-        if bias_shape is None:
-            return ga, gb
-        return ga, gb, _unbroadcast(g, bias_shape)
+        g2 = g.reshape(-1, wd.shape[-1])
+        ga = (g2 @ _folded(wd, sd).T).reshape(ad.shape) if need_ga else None
+        return (ga,) + _weight_grads(ad.reshape(-1, ad.shape[-1]), g2, wd, sd, bias_shape)
 
-    parents = (a, b) if bias is None else (a, b, bias)
+    parents = tuple(t for t in (a, w, bias, scale) if t is not None)
     return _make(data, parents, vjp)
 
 
@@ -261,6 +287,35 @@ def _horner(t, coefs):
         acc += c
         acc *= t
     return acc
+
+
+def _gelu_into(x, y, slope):
+    """Write gelu(x) into y, an array of x's shape and dtype; return its
+    derivative at x when `slope`, else None.  See `gelu`."""
+    np.abs(x, out=y)                    # t, then e, then the output
+    y *= _AS_P
+    y += 1.0
+    np.reciprocal(y, out=y)
+    # d before T, so that T's buffer is the last one allocated and freed
+    d = _horner(y, _AS_B) if slope else None
+    s = _horner(y, _AS_A)               # q(t), then T, then |x| T
+    np.multiply(x, x, out=y)
+    y *= -0.5
+    np.exp(y, out=y)
+    s *= y
+    if d is not None:
+        d *= y
+        np.multiply(x, x, out=y)
+        y *= s
+        d -= y                          # V
+        np.subtract(0.5, d, out=d)
+        np.copysign(d, x, out=d)
+        d += 0.5
+    np.abs(x, out=y)
+    s *= y
+    np.maximum(x, 0.0, out=y)
+    y -= s
+    return d
 
 
 def gelu(a):
@@ -280,33 +335,58 @@ def gelu(a):
     within 5.4e-7 of Phi(x) + x phi(x).  With u = |x| and u p t = 1 - t,
     d = 1/2 + sign(x) (1/2 - V), where V = T + u T'(u) = e b(t) - x^2 T
     reuses e = exp(-x^2 / 2) and t.  Under `no_grad` no derivative is
-    computed.
+    computed.  An MLP's activation and the linear layer after it are one op,
+    `gelu_matmul`, which keeps neither the output nor d.
     """
     x = a.data
-    y = np.abs(x)                       # t, then e, then the output
-    y *= _AS_P
-    y += 1.0
-    np.reciprocal(y, out=y)
-    # d before T, so that T's buffer is the last one allocated and freed
-    d = _horner(y, _AS_B) if _GRAD_ENABLED[-1] and a.requires_grad else None
-    s = _horner(y, _AS_A)               # q(t), then T, then |x| T
-    np.multiply(x, x, out=y)
-    y *= -0.5
-    np.exp(y, out=y)
-    s *= y
-    if d is not None:
-        d *= y
-        np.multiply(x, x, out=y)
-        y *= s
-        d -= y                          # V
-        np.subtract(0.5, d, out=d)
-        np.copysign(d, x, out=d)
-        d += 0.5
-    np.abs(x, out=y)
-    s *= y
-    np.maximum(x, 0.0, out=y)
-    y -= s
+    y = np.empty_like(x)
+    d = _gelu_into(x, y, _GRAD_ENABLED[-1] and a.requires_grad)
     return _make(y, (a,), lambda g: (g * d,))
+
+
+def gelu_matmul(u, w, bias=None, scale=None):
+    """gelu(u) @ (w * scale) + bias as one tape op: an MLP's second layer.
+
+    The same function as `matmul(gelu(u), w, bias, scale)`, with the same
+    arithmetic, but the tape keeps only u (and the parameters): the VJP
+    rebuilds gelu(u) and its derivative (gradient checkpointing, Chen et
+    al., arXiv 1604.06174).  Both passes run the GELU kernel over blocks
+    of rows whose working arrays (the rows of u and of gelu(u), the
+    kernel's temporary and the derivative) total at most `_TILE`
+    elements, so they stay small, and write gelu(u) into one u-sized
+    buffer, so the product and the weight gradient each stay one matrix
+    product.  Backward, the gradient of gelu(u), g (w * scale)^T, is
+    multiplied by the derivative one block at a time.
+    """
+    ud, wd = u.data, w.data
+    sd = None if scale is None else scale.data
+    u2 = ud.reshape(-1, ud.shape[-1])
+    blocks = _row_blocks(u2.shape[0], 4 * u2.shape[1])
+
+    def activation(gh):
+        # gelu(u) in one u-sized buffer; given gh, also gh *= its derivative
+        h = np.empty_like(u2)
+        for r in blocks:
+            d = _gelu_into(u2[r], h[r], gh is not None)
+            if gh is not None:
+                gh[r] *= d
+        return h
+
+    data = (activation(None) @ _folded(wd, sd)).reshape(ud.shape[:-1] + wd.shape[-1:])
+    if bias is not None:
+        data += bias.data
+    need_gu = u.requires_grad
+    bias_shape = None if bias is None else bias.data.shape
+
+    def vjp(g):
+        g2 = g.reshape(-1, wd.shape[-1])
+        gh = g2 @ _folded(wd, sd).T if need_gu else None
+        h = activation(gh)
+        gu = None if gh is None else gh.reshape(ud.shape)
+        return (gu,) + _weight_grads(h, g2, wd, sd, bias_shape)
+
+    parents = tuple(t for t in (u, w, bias, scale) if t is not None)
+    return _make(data, parents, vjp)
 
 
 def _row_blocks(rows, per_row):
@@ -341,9 +421,16 @@ def attention(q, k, v, scale, counts=None):
     softmax is exact and needs no online rescaling.  The blocks are near
     equal, and a block's [B, rows, S] score tile has at most `_TILE`
     elements (a block is one row if a single row is larger), so no
-    [B, L, S] array is ever allocated.  The tape keeps only the output and
-    one [B, L, 1] base-2 log-sum-exp per row (FlashAttention-2, Dao, arXiv
-    2307.08691):
+    [B, L, S] array is ever allocated.  Besides q, k and v the tape keeps
+    only the output and one [B, L, 1] base-2 log-sum-exp per row
+    (FlashAttention-2, Dao, arXiv 2307.08691):
+
+    - v is held contiguous: a strided v (a third of a qkv product) is
+      copied once, so the tape does not pin the array it views.
+    - The output is written token-major, a [B, L, dh] view of an
+      [L, B, dh] array, so merging the heads of a [heads, L, dh] output
+      into [L, heads * dh] is a view, and the next linear layer holds the
+      same array as this VJP.
 
     - `scale * log2(e)` is folded into q, so the scores s come out in base
       2, are never rescaled, and are exponentiated with exp2.
@@ -381,12 +468,13 @@ def attention(q, k, v, scale, counts=None):
     Either path computes the same output whether or not the call is taped.
     The VJP never writes to g.
     """
-    qd, kd, vd = q.data, k.data, v.data
+    qd, kd, vd = q.data, k.data, np.ascontiguousarray(v.data)
     n, rows = qd.shape[:2]
     blocks = _row_blocks(rows, n * kd.shape[1])
     qs = qd * (scale * _LOG2E)
     kt = np.ascontiguousarray(np.swapaxes(kd, -1, -2))
-    out = np.empty(qd.shape[:-1] + vd.shape[-1:], dtype=np.result_type(qd, kd, vd))
+    out = np.empty((rows, n, vd.shape[-1]), dtype=np.result_type(qd, kd, vd))
+    out = np.swapaxes(out, 0, 1)        # [B, L, dh], token-major in memory
     lse = np.empty((n, rows, 1), dtype=out.dtype)
     if counts is None:
         c = None

@@ -8,11 +8,18 @@ embedding.  The output projection is zero-initialized, so a freshly
 built model predicts exactly zero velocity.
 
 The modulation is folded into the linear layers (adaLN-Zero, DiT): the
-layer norm's gamma and beta, (1 + scale) and shift become a [d, k] weight
-and a [k] bias of the layer that reads the norm (`_norm_linear`), and each
-gate scales the weight columns and bias of the layer before the residual
-add (`_gated_linear`).  The result is the unfolded one in real arithmetic,
-and no [L, d] array is written for the modulation.
+layer norm's gamma and beta, (1 + scale) and shift become a [d, 1] gain on
+the weight rows and a [k] bias of the layer that reads the norm
+(`_norm_linear`), and each gate scales the weight columns and bias of the
+layer before the residual add (`_gated_linear`).  Gains and gates are
+`ag.matmul`'s `scale`, so the folded weights are rebuilt in backward, not
+kept.  The result is the unfolded one in real arithmetic, and no [L, d]
+array is written for the modulation.
+
+What the tape keeps per block: the three layer-norm outputs, the rotated
+q and k, the self-attention v, the cross-attention q, the two attention
+outputs (their merged heads are views of them) and the MLP's pre-activation,
+which `ag.gelu_matmul` turns into the gated second layer.
 """
 
 from __future__ import annotations
@@ -127,9 +134,10 @@ class Backbone:
 
         With xh = layer_norm(x), (xh γ + β)(1 + scale) + shift, then @ W + b,
         is one product: xh @ (diag(γ (1 + scale)) W) + ((β (1 + scale) + shift)
-        @ W + b).  The folded weight and bias are [d, k] and [k] ops, so no
-        [L, d] array is written between the norm and the product.  Without
-        `scale` and `shift` it is the plain affine norm.
+        @ W + b).  The gain γ (1 + scale) is `matmul`'s [d, 1] scale and the
+        bias a [k] op, so no [L, d] array is written between the norm and
+        the product, and the tape keeps no folded weight.  Without `scale`
+        and `shift` it is the plain affine norm.
         """
         st = self.store
         gain, offset, wt = st[f"{ln}.g"], st[f"{ln}.b"], st[w]
@@ -137,12 +145,15 @@ class Backbone:
             s1 = ag.add(scale, 1.0)
             gain = ag.mul(gain, s1)
             offset = ag.add(ag.mul(offset, s1), shift)
-        folded = ag.mul(wt, ag.reshape(gain, (-1, 1)))
-        return ag.matmul(ag.layer_norm(x), folded, ag.matmul(offset, wt, st[bias]))
+        return ag.matmul(ag.layer_norm(x), wt, ag.matmul(offset, wt, st[bias]),
+                         ag.reshape(gain, (-1, 1)))
 
-    def _gated_linear(self, h: ag.Tensor, w: str, bias: str, gate: ag.Tensor) -> ag.Tensor:
-        """(h @ W + b) * gate as one product: h @ (W gate) + b gate."""
-        return ag.matmul(h, ag.mul(self.store[w], gate), ag.mul(self.store[bias], gate))
+    def _gated_linear(self, h: ag.Tensor, w: str, bias: str, gate: ag.Tensor,
+                      gelu: bool = False) -> ag.Tensor:
+        """(h @ W + b) * gate as one product: h @ (W gate) + b gate, with the
+        [1, k] gate as `matmul`'s scale; of gelu(h) when `gelu` (the MLP)."""
+        linear = ag.gelu_matmul if gelu else ag.matmul
+        return linear(h, self.store[w], ag.mul(self.store[bias], gate), gate)
 
     def _attend(self, q, k, v, counts=None):
         scale = 1.0 / float(np.sqrt(self.config.head_dim))  # python float: no upcast
@@ -212,9 +223,10 @@ class Backbone:
                 x = ag.add(x, self._gated_linear(self._merge_heads(o, L), f"{b}.xo.w",
                                                  f"{b}.xo.b", gate2))
             # feed-forward
-            h = ag.gelu(self._norm_linear(x, f"{b}.ln3", f"{b}.mlp.w1", f"{b}.mlp.b1",
-                                          shift3, scale3))
-            x = ag.add(x, self._gated_linear(h, f"{b}.mlp.w2", f"{b}.mlp.b2", gate3))
+            h = self._norm_linear(x, f"{b}.ln3", f"{b}.mlp.w1", f"{b}.mlp.b1",
+                                  shift3, scale3)
+            x = ag.add(x, self._gated_linear(h, f"{b}.mlp.w2", f"{b}.mlp.b2", gate3,
+                                             gelu=True))
         out = self._norm_linear(x, f"{p}.final", f"{p}.out.w", f"{p}.out.b")
         if not np.isfinite(out.data).all():
             raise NumericalFailureError("backbone produced NaN/Inf activations")

@@ -10,7 +10,9 @@ reading the header, and every entry against the body before building its
 array, so a damaged file raises `ContainerError`, never a raw decoding error
 or an allocation the file cannot back.  The layout is checked too: names are
 unique, and each entry begins where the one before it ends (the first at the
-start of the body), with no bytes after the last.
+start of the body), with no bytes after the last.  A well-formed file
+whose contents do not fit its reader (a missing array or meta field, an
+unknown config field) raises `ContainerError` too, through `reading`.
 """
 
 from __future__ import annotations
@@ -19,12 +21,29 @@ import json
 import math
 import os
 import tempfile
+from contextlib import contextmanager
 
 import numpy as np
 
 from .errors import ContainerError
 
 MAGIC = b"HCARR1\x00\x00"
+
+
+@contextmanager
+def reading(path, entry: str):
+    """Raise `ContainerError` naming `path` and `entry` for what the block
+    raises on contents of that entry that do not fit their reader: a missing
+    key (KeyError), an unknown or ill-typed field (TypeError) or a rejected
+    value (ValueError)."""
+    try:
+        yield
+    except ContainerError:
+        raise
+    except KeyError as e:
+        raise ContainerError(f"{path}: {entry}: missing {e.args[0]!r}") from e
+    except (TypeError, ValueError) as e:
+        raise ContainerError(f"{path}: {entry}: {e}") from e
 
 
 def save_container(path, arrays: dict[str, np.ndarray], meta: dict | None = None):

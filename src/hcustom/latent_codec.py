@@ -38,7 +38,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import autograd as ag
-from .container import load_container, save_container
+from .container import load_container, reading, save_container
 from .errors import ConfigError, ConfigMismatchError, DimensionMismatchError
 from .nn import ParamStore, conv_init, fit, normal_init
 
@@ -82,7 +82,9 @@ class PixelVideo:
     @classmethod
     def load(cls, path) -> "PixelVideo":
         arrays, meta = load_container(path)
-        return cls(arrays["frames"], fps=meta.get("fps", 25.0))
+        with reading(path, "pixel video"):
+            frames = arrays["frames"]
+        return cls(frames, fps=meta.get("fps", 25.0))
 
 
 @dataclass
@@ -287,8 +289,11 @@ class LatentCodec:
     @classmethod
     def load(cls, path) -> "LatentCodec":
         arrays, meta = load_container(path)
-        codec = cls(CodecConfig.from_dict(meta["config"]))
-        codec.store.load_state_dict(arrays)
+        with reading(path, "codec config"):
+            config = CodecConfig.from_dict(meta["config"])
+        codec = cls(config)
+        with reading(path, "codec arrays"):
+            codec.store.load_state_dict(arrays)
         return codec
 
 

@@ -23,7 +23,7 @@ from . import autograd as ag
 from .audio_net import (AlignedAudio, AudioInjectConfig, AudioInjector, align_audio,
                         inject_audio_t)
 from .backbone import Backbone, BackboneConfig
-from .container import load_container, save_container
+from .container import load_container, reading, save_container
 from .errors import ConfigError, DimensionMismatchError
 from .latent_codec import CodecConfig, LatentCodec, latent_frame_count, tokenize
 from .nn import ParamStore, normal_init
@@ -275,20 +275,30 @@ def load_checkpoint(path, lambda_a: float | None = None
     """Rebuild model, codec and latent statistics from a checkpoint.
 
     `lambda_a`, if given, replaces the stored audio scale before the model
-    is built; the weights are the same for every scale.
+    is built; the weights are the same for every scale.  A file whose meta
+    record or arrays do not fit the model it describes raises
+    `ContainerError`.
     """
     arrays, meta = load_container(path)
     if meta.get("version") != CHECKPOINT_VERSION:
         raise ConfigError("checkpoint", f"unsupported version {meta.get('version')!r}")
-    dtype = np.dtype(meta.get("dtype", "<f4"))
-    config = ModelConfig.from_dict(meta["model_config"])
+    with reading(path, "meta"):
+        dtype = np.dtype(meta.get("dtype", "<f4"))
+        model_dict, codec_dict, step = meta["model_config"], meta["codec_config"], meta["step"]
+    with reading(path, "model_config"):
+        config = ModelConfig.from_dict(model_dict)
+    with reading(path, "codec_config"):
+        codec_config = CodecConfig.from_dict(codec_dict)
     if lambda_a is not None:
         config = replace(config, audio=replace(config.audio, lambda_a=lambda_a))
     model = CustomVideoModel(config, dtype=dtype)
-    model.store.load_state_dict(
-        {k[len("model."):]: v for k, v in arrays.items() if k.startswith("model.")})
-    codec = LatentCodec(CodecConfig.from_dict(meta["codec_config"]))
-    codec.store.load_state_dict(
-        {k[len("codec."):]: v for k, v in arrays.items() if k.startswith("codec.")})
-    stats = LatentStats(arrays["stats.mean"], arrays["stats.std"])
-    return model, codec, stats, meta["step"], meta
+    with reading(path, "model arrays"):
+        model.store.load_state_dict(
+            {k[len("model."):]: v for k, v in arrays.items() if k.startswith("model.")})
+    codec = LatentCodec(codec_config)
+    with reading(path, "codec arrays"):
+        codec.store.load_state_dict(
+            {k[len("codec."):]: v for k, v in arrays.items() if k.startswith("codec.")})
+    with reading(path, "stats arrays"):
+        stats = LatentStats(arrays["stats.mean"], arrays["stats.std"])
+    return model, codec, stats, step, meta

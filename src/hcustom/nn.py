@@ -57,7 +57,7 @@ class ParamStore:
         missing = set(self._params) - set(state)
         extra = set(state) - set(self._params)
         if missing or extra:
-            raise KeyError(f"state mismatch: missing={sorted(missing)} extra={sorted(extra)}")
+            raise ValueError(f"state mismatch: missing={sorted(missing)} extra={sorted(extra)}")
         for name, arr in state.items():
             p = self._params[name]
             if p.data.shape != arr.shape:

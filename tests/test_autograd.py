@@ -541,6 +541,61 @@ def test_linear_gradients_match_finite_differences(x_shape, bias):
     check_op(lambda *ts: ag.matmul(*ts), arrays)
 
 
+@pytest.mark.parametrize("scale_shape", [(3, 1), (1, 4)], ids=["gain", "gate"])
+@pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+def test_scaled_linear_gradients_match_finite_differences(scale_shape, bias):
+    # a [n, 1] scale multiplies the rows of w (a norm's gain), a [1, k] one
+    # its columns (a gate)
+    local = np.random.default_rng(22)
+    arrays = [local.normal(size=(2, 5, 3)), local.normal(size=(3, 4)),
+              local.normal(size=scale_shape)]
+    if bias:
+        arrays.append(local.normal(size=4))
+        check_op(lambda a, w, s, b: ag.matmul(a, w, b, s), arrays)
+    else:
+        check_op(lambda a, w, s: ag.matmul(a, w, scale=s), arrays)
+
+
+@pytest.mark.parametrize("u_shape", [(7, 8), (2, 4, 8)], ids=["2d", "leading-axes"])
+def test_gelu_matmul_gradients_match_finite_differences_over_row_blocks(u_shape):
+    # a row of 8 has 32 working elements, so a tile of 64 takes 2 rows: 7 rows
+    # make blocks of 2, 2, 2, 1 and 8 rows four blocks of 2
+    local = np.random.default_rng(23)
+    arrays = [local.normal(size=u_shape), local.normal(size=(8, 3)),
+              local.normal(size=3), local.normal(size=(1, 3))]
+    check_op(lambda u, w, b, s: _with_tile(64, lambda: ag.gelu_matmul(u, w, b, s)), arrays)
+    check_op(lambda u, w: _with_tile(64, lambda: ag.gelu_matmul(u, w)), arrays[:2])
+
+
+@pytest.mark.parametrize("scale_shape", [None, (6, 1), (1, 5)], ids=["plain", "gain", "gate"])
+def test_gelu_matmul_equals_gelu_then_matmul_bitwise(scale_shape, monkeypatch):
+    # the same arithmetic as the two ops it replaces, in float32; 9 rows of
+    # 6 (24 working elements each) over a tile of 48 make five row blocks
+    local = np.random.default_rng(24)
+
+    def arrays():
+        out = [local.normal(size=(9, 6)), local.normal(size=(6, 5)), local.normal(size=5)]
+        if scale_shape is not None:
+            out.append(local.normal(size=scale_shape))
+        return [a.astype(np.float32) for a in out]
+
+    monkeypatch.setattr(ag, "_TILE", 48)
+    data = arrays()
+    g = local.normal(size=(9, 5)).astype(np.float32)
+    results = []
+    for fused in (True, False):
+        ts = [ag.Tensor(a, requires_grad=True) for a in data]
+        if fused:
+            out = ag.gelu_matmul(*ts)
+        else:
+            out = ag.matmul(ag.gelu(ts[0]), *ts[1:])
+        ag.sum_(ag.mul(out, ag.Tensor(g))).backward()
+        results.append([out.data] + [t.grad for t in ts])
+    for fused, plain in zip(*results):
+        assert fused.dtype == np.float32
+        np.testing.assert_array_equal(fused, plain)
+
+
 def test_linear_is_one_op_and_skips_a_constant_input():
     local = np.random.default_rng(20)
     x = ag.Tensor(local.normal(size=(2, 3, 5)).astype(np.float32))
@@ -614,6 +669,9 @@ def _vjp_cases(dtype=np.float64):
         "attention_counted": lambda: _with_tile(16, lambda: ag.attention(
             t(2, 3, 4), t(2, 5, 4), t(2, 5, 4), 0.5, COUNTS)),
         "matmul_bias": lambda: ag.matmul(t(2, 3, 4), t(4, 5), t(5)),
+        "matmul_scale": lambda: ag.matmul(t(2, 3, 4), t(4, 5), t(5), t(4, 1)),
+        "gelu_matmul": lambda: _with_tile(32, lambda: ag.gelu_matmul(
+            t(2, 3, 4), t(4, 5), t(5), t(1, 5))),
         "reshape": lambda: ag.reshape(t(3, 4), (2, 6)),
         "transpose": lambda: ag.transpose(t(2, 3, 4), (2, 0, 1)),
         "concat": lambda: ag.concat([t(2, 3), t(2, 2)], axis=1),

@@ -319,3 +319,68 @@ def test_sample_condition_video_on_a_video_custom_checkpoint(workspace, tmp_path
     assert main(args + ["--frames", "9", "--out", str(tmp_path / "bad.hc")]) == 1
     assert "error: condition video frame count mismatch" in capsys.readouterr().err
     assert not (tmp_path / "bad.hc").exists()
+
+
+@pytest.fixture(scope="module")
+def sample_checkpoint(workspace, tmp_path_factory):
+    """A tiny single_subject checkpoint and an identity image of the dataset."""
+    root, data, cfg_path = workspace
+    out = tmp_path_factory.mktemp("fit")
+    assert main(["train", "--config", str(cfg_path), "--set", "train.checkpoint_every=0",
+                 "--set", f"out_dir={out / 'run'}"]) == 0
+    sample = load_sample(sorted(data.glob("sample_*.hc"))[0])
+    img_path = out / "ident.hc"
+    sample.identity_images[0].save(img_path)
+    return out / "run" / "checkpoint.hc", img_path, sample
+
+
+def _drop_qkv(arrays, meta):
+    del arrays["model.backbone.blk0.qkv.w"]
+
+
+def _drop_model_config(arrays, meta):
+    del meta["model_config"]
+
+
+def _unknown_field(arrays, meta):
+    meta["model_config"]["backbone"]["colour"] = "red"
+
+
+def _wrong_shape(arrays, meta):
+    arrays["model.backbone.blk0.qkv.w"] = arrays["model.backbone.blk0.qkv.w"][:-1]
+
+
+@pytest.mark.parametrize("damage,entry", [
+    (_drop_qkv, "missing=['backbone.blk0.qkv.w']"),
+    (_drop_model_config, "meta: missing 'model_config'"),
+    (_unknown_field, "'colour'"),
+    (_wrong_shape, "backbone.blk0.qkv.w"),
+], ids=["missing-array", "no-model-config", "unknown-config-field", "wrong-shape"])
+def test_sample_reports_a_checkpoint_that_does_not_fit_its_model(sample_checkpoint, tmp_path,
+                                                                 capsys, damage, entry):
+    ckpt, img_path, sample = sample_checkpoint
+    arrays, meta = load_container(ckpt)
+    damage(arrays, meta)
+    bad = tmp_path / "bad.hc"
+    save_container(bad, arrays, meta)
+    capsys.readouterr()
+    rc = main(["sample", "--ckpt", str(bad), "--prompt", sample.caption,
+               "--subject", f"name={sample.descriptors[0]},image={img_path}",
+               "--frames", "5", "--steps", "2", "--out", str(tmp_path / "out.hc")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: {bad}: ") and entry in err, err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.hc").exists()
+
+
+def test_sample_reports_a_subject_image_that_is_not_a_pixel_video(sample_checkpoint, tmp_path,
+                                                                  capsys):
+    ckpt, _, sample = sample_checkpoint
+    capsys.readouterr()
+    rc = main(["sample", "--ckpt", str(ckpt), "--prompt", sample.caption,
+               "--subject", f"name={sample.descriptors[0]},image={ckpt}",
+               "--frames", "5", "--steps", "2", "--out", str(tmp_path / "out.hc")])
+    assert rc == 1
+    assert f"error: {ckpt}: pixel video: missing 'frames'" in capsys.readouterr().err
+    assert not (tmp_path / "out.hc").exists()

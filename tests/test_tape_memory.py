@@ -10,6 +10,7 @@ shapes of that run.
 """
 
 import json
+import tracemalloc
 import weakref
 from pathlib import Path
 from types import SimpleNamespace
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 from hcustom import autograd as ag
+from hcustom.backbone import Backbone
 from hcustom.flow_match import flow_loss_t
 from hcustom.latent_codec import LatentCodec
 from hcustom.model import CustomVideoModel
@@ -26,13 +28,17 @@ from hcustom.pipeline import (codec_config_from, compute_latent_stats, model_con
 from hcustom.synth_data import SceneParams, generate_sample, identity_pool
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "single_subject.json"
-# [L, width]-sized arrays a backbone block may keep: today about 24.5 (the
-# 4x-wide GELU output and slope, 8; the three layer-norm outputs, which are
-# also the inputs of the folded linear layers; the qkv product, the rotated
-# q and k and the cross-attention q; the attention outputs and their merged
-# heads; and the folded weights, about 2.7).  One [heads, L, S] score buffer
-# per attention call would add 2 * heads * S / width, about 37 more per block.
-PER_BLOCK_ACTIVATIONS = 28
+# [L, width]-sized arrays a backbone block may keep: today about 13.8 (the
+# 4x-wide MLP pre-activation, 4; the three layer-norm outputs, which are
+# also the inputs of the folded linear layers; the rotated q and k, the
+# self-attention v and the cross-attention q; the two attention outputs,
+# which are also their merged heads; and row statistics).  One
+# [heads, L, S] score buffer per attention call would add
+# 2 * heads * S / width, about 37 more per block.
+PER_BLOCK_ACTIVATIONS = 15
+# tracemalloc peak of one flow_loss_t forward and its backward at that
+# shape: the tape plus what backward allocates (about 20.6 MiB today)
+STEP_PEAK_MIB = 23
 
 
 def _base(a):
@@ -87,44 +93,75 @@ def kept_arrays(loss, params):
 
 
 @pytest.fixture(scope="module")
-def flow_train_tape():
-    """One flow_loss_t forward: its loss, the (B, L, S) of its attention calls,
-    the key counts each call was given (None for self-attention), the
-    backbone config, the parameter store, and weak references to the MLP
-    pre-activations (GELU inputs of the MLP width) and to the residual
-    stream (the layer-norm inputs)."""
+def flow_train_step():
+    """The model, its prepared `single_subject` sample and the noise of one
+    flow-train step."""
     cfg = validate_config(json.loads(CONFIG.read_text()))
     sample = generate_sample(identity_pool(1, 1)[0], SceneParams(), seed=1)
     codec = LatentCodec(codec_config_from(cfg))
     stats = compute_latent_stats(codec, [sample])
     model = CustomVideoModel(model_config_from(cfg))
-    bb = model.config.backbone
     ps = prepare_samples(model, codec, stats, [sample], "single_subject", cfg["template"])[0]
     z0 = np.random.default_rng(0).standard_normal(ps.z1.shape).astype(np.float32)
-    calls, counts, mlp_refs, residual_refs = [], [], [], []
-    attention, gelu, layer_norm = ag.attention, ag.gelu, ag.layer_norm
+    return SimpleNamespace(model=model, ps=ps, z0=z0)
+
+
+@pytest.fixture(scope="module")
+def flow_train_tape(flow_train_step):
+    """One flow_loss_t forward: its loss, the (B, L, S) of its attention calls,
+    the key counts each call was given (None for self-attention), the
+    backbone config, the parameter store, and weak references to arrays the
+    forward made: the residual stream (the layer-norm inputs), the `qkv`
+    products, the MLP pre-activations (`gelu_matmul` inputs) and the GELU
+    outputs it computes from them, and each attention output with its
+    merged heads."""
+    step = flow_train_step
+    bb = step.model.config.backbone
+    calls, counts = [], []
+    refs = SimpleNamespace(residual=[], qkv=[], mlp=[], gelu=[], merged=[])
+    attention, gelu_matmul, gelu_into = ag.attention, ag.gelu_matmul, ag._gelu_into
+    layer_norm, matmul, merge_heads = ag.layer_norm, ag.matmul, Backbone._merge_heads
 
     def recorded(q, k, v, scale, key_counts=None):
         calls.append((q.shape[0], q.shape[1], k.shape[1]))
         counts.append(key_counts)
         return attention(q, k, v, scale, key_counts)
 
-    def watched_gelu(x):
-        if x.shape[-1] == bb.mlp_ratio * bb.width:
-            mlp_refs.append(weakref.ref(_base(x.data)))
-        return gelu(x)
-
     def watched_layer_norm(x, *args):
-        residual_refs.append(weakref.ref(_base(x.data)))
+        refs.residual.append(weakref.ref(_base(x.data)))
         return layer_norm(x, *args)
 
-    ag.attention, ag.gelu, ag.layer_norm = recorded, watched_gelu, watched_layer_norm
+    def watched_matmul(a, w, *args):
+        out = matmul(a, w, *args)
+        if out.shape[0] > 1 and out.shape[-1] == 3 * bb.width:   # not a folded bias
+            refs.qkv.append(weakref.ref(_base(out.data)))
+        return out
+
+    def watched_gelu_matmul(u, *args):
+        refs.mlp.append(weakref.ref(_base(u.data)))
+        return gelu_matmul(u, *args)
+
+    def watched_gelu_into(x, y, slope):
+        if y.shape[-1] == bb.mlp_ratio * bb.width:
+            refs.gelu.append(weakref.ref(_base(y)))
+        return gelu_into(x, y, slope)
+
+    def watched_merge_heads(self, x, length):
+        out = merge_heads(self, x, length)
+        refs.merged.append((weakref.ref(_base(x.data)), weakref.ref(_base(out.data))))
+        return out
+
+    ag.attention, ag.gelu_matmul, ag._gelu_into = recorded, watched_gelu_matmul, watched_gelu_into
+    ag.layer_norm, ag.matmul = watched_layer_norm, watched_matmul
+    Backbone._merge_heads = watched_merge_heads
     try:
-        loss = flow_loss_t(model, ps, 0.5, z0)
+        loss = flow_loss_t(step.model, step.ps, 0.5, step.z0)
     finally:
-        ag.attention, ag.gelu, ag.layer_norm = attention, gelu, layer_norm
-    return SimpleNamespace(loss=loss, calls=calls, counts=counts, bb=bb, store=model.store,
-                           mlp_refs=mlp_refs, residual_refs=residual_refs)
+        ag.attention, ag.gelu_matmul, ag._gelu_into = attention, gelu_matmul, gelu_into
+        ag.layer_norm, ag.matmul = layer_norm, matmul
+        Backbone._merge_heads = merge_heads
+    return SimpleNamespace(loss=loss, calls=calls, counts=counts, bb=bb,
+                           store=step.model.store, refs=refs)
 
 
 def test_flow_train_shape(flow_train_tape):
@@ -144,14 +181,31 @@ def test_no_vjp_holds_a_tensor(flow_train_tape):
     assert not tensors, [t.shape for t in tensors]
 
 
-def test_mlp_pre_activation_and_residual_stream_die_after_the_forward(flow_train_tape):
-    # no VJP reads them: GELU keeps its slope, a residual add its shapes and
-    # a layer norm its normalised output
-    tape = flow_train_tape
-    assert len(tape.mlp_refs) == tape.bb.blocks
-    assert len(tape.residual_refs) == 3 * tape.bb.blocks + 1
-    assert [r() for r in tape.mlp_refs] == [None] * len(tape.mlp_refs)
-    assert [r() for r in tape.residual_refs] == [None] * len(tape.residual_refs)
+def test_only_the_mlp_pre_activation_outlives_the_forward(flow_train_tape):
+    # no VJP reads the residual stream (an add keeps shapes, a layer norm its
+    # output), the qkv product (q and k are rotated into new arrays and
+    # attention holds its own copy of v) or a GELU output (gelu_matmul
+    # rebuilds it from its input in backward); the pre-activation is the one
+    # MLP-wide array the tape keeps
+    tape, refs = flow_train_tape, flow_train_tape.refs
+    blocks = tape.bb.blocks
+    assert len(refs.residual) == 3 * blocks + 1
+    assert len(refs.qkv) == len(refs.mlp) == blocks
+    assert len(refs.gelu) > blocks          # row blocks: more than one per call
+    for dead in (refs.residual, refs.qkv, refs.gelu):
+        assert [r() for r in dead] == [None] * len(dead)
+    kept = kept_arrays(tape.loss, tape.store)
+    mlp_wide = {k for k, a in kept.items() if a.shape[-1] == tape.bb.mlp_ratio * tape.bb.width}
+    assert mlp_wide == {id(r()) for r in refs.mlp}
+
+
+def test_attention_output_and_its_merged_heads_share_one_buffer(flow_train_tape):
+    tape, merged = flow_train_tape, flow_train_tape.refs.merged
+    assert len(merged) == len(tape.calls)
+    kept = kept_arrays(tape.loss, tape.store)
+    for heads, tokens in merged:
+        assert heads() is not None and heads() is tokens()
+        assert id(heads()) in kept
 
 
 def test_tape_keeps_no_score_sized_array(flow_train_tape):
@@ -174,3 +228,18 @@ def test_tape_bytes_stay_within_the_activation_bound(flow_train_tape):
     bound = bb.blocks * PER_BLOCK_ACTIVATIONS * L * bb.width * itemsize
     total = sum(a.nbytes for a in kept_arrays(loss, flow_train_tape.store).values())
     assert total < bound, f"tape keeps {total / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
+
+
+def test_step_peak_stays_within_its_bound(flow_train_step):
+    # a forward and its backward, measured from the first allocation of the
+    # forward; the parameter gradients are among what it counts
+    step = flow_train_step
+    step.model.store.zero_grad()
+    tracemalloc.start()
+    try:
+        flow_loss_t(step.model, step.ps, 0.5, step.z0).backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        step.model.store.zero_grad()
+    assert peak < STEP_PEAK_MIB * 2**20, f"peak {peak / 2**20:.1f} MiB"
