@@ -1,4 +1,4 @@
-"""Evaluation metrics with the ground-truth-parameter toy providers."""
+"""Evaluation metrics with the ground-truth-parameter toy embeddings."""
 
 import numpy as np
 

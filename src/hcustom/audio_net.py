@@ -24,6 +24,7 @@ from .nn import ParamStore, normal_init
 TOKENS_PER_AUDIO_FRAME = 4
 GROUP = 4  # consecutive audio frames aggregated per latent frame
 GROUPED_TOKENS = GROUP * TOKENS_PER_AUDIO_FRAME  # 16
+AUDIO_FEATURE_WIDTH = 32  # c_a: feature channels per audio token
 
 
 @dataclass
@@ -101,12 +102,13 @@ def align_audio(audio: AudioTrack, f: int) -> AlignedAudio:
 class AudioInjector:
     """Learned projections for the per-frame audio cross-attention."""
 
+    prefix = "audio"
+
     def __init__(self, store: ParamStore, rng: np.random.Generator,
-                 latent_channels: int, audio_width: int,
-                 config: AudioInjectConfig, prefix: str = "audio"):
+                 latent_channels: int, audio_width: int, config: AudioInjectConfig):
         self.config = config
         self.store = store
-        self.prefix = prefix
+        prefix = self.prefix
         d = config.width
         store.parameter(f"{prefix}.q.w", normal_init(rng, (latent_channels, d)))
         store.parameter(f"{prefix}.q.b", np.zeros(d))

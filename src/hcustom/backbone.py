@@ -33,6 +33,8 @@ from .errors import ConfigError, DimensionMismatchError, NumericalFailureError
 from .nn import ParamStore, normal_init
 from .rope3d import RopeConfig, apply_rotation
 
+GATE_INIT = 1.0  # initial modulation gates: every sub-layer starts as pass-through
+
 
 @dataclass(frozen=True)
 class BackboneConfig:
@@ -42,9 +44,6 @@ class BackboneConfig:
     latent_channels: int = 16
     text_width: int = 128
     mlp_ratio: int = 4
-    input_channels: int | None = None  # widened for the channel-concat ablation
-    rope_base: float = 10000.0
-    gate_init: float = 1.0  # initial modulation gate; small values ease training
 
     def __post_init__(self):
         if self.width % self.heads:
@@ -55,12 +54,8 @@ class BackboneConfig:
     def head_dim(self) -> int:
         return self.width // self.heads
 
-    @property
-    def in_channels(self) -> int:
-        return self.input_channels or self.latent_channels
-
     def rope(self) -> RopeConfig:
-        return RopeConfig(head_dim=self.head_dim, base=self.rope_base)
+        return RopeConfig(head_dim=self.head_dim)
 
 
 def timestep_features(t: float, dim: int, dtype=np.float32) -> np.ndarray:
@@ -72,16 +67,20 @@ def timestep_features(t: float, dim: int, dtype=np.float32) -> np.ndarray:
 
 
 class Backbone:
-    """Parameter container plus the taped forward pass."""
+    """Parameter container plus the taped forward pass over tokens of
+    `in_channels` (the latent channels, doubled by the channel-concat
+    ablation)."""
+
+    prefix = "backbone"
 
     def __init__(self, store: ParamStore, rng: np.random.Generator,
-                 config: BackboneConfig, prefix: str = "backbone"):
+                 config: BackboneConfig, in_channels: int):
         self.config = config
         self.store = store
-        self.prefix = prefix
+        self.in_channels = in_channels
         d = config.width
-        p = prefix
-        store.parameter(f"{p}.in.w", normal_init(rng, (config.in_channels, d)))
+        p = self.prefix
+        store.parameter(f"{p}.in.w", normal_init(rng, (in_channels, d)))
         store.parameter(f"{p}.in.b", np.zeros(d))
         store.parameter(f"{p}.t.w1", normal_init(rng, (d, d)))
         store.parameter(f"{p}.t.b1", np.zeros(d))
@@ -93,8 +92,8 @@ class Backbone:
                 store.parameter(f"{b}.{ln}.g", np.ones(d))
                 store.parameter(f"{b}.{ln}.b", np.zeros(d))
             mod_bias = np.zeros(9 * d)
-            for sub in range(3):  # gate segments start as (scaled) pass-through
-                mod_bias[(3 * sub + 2) * d:(3 * sub + 3) * d] = config.gate_init
+            for sub in range(3):  # gate segments start as pass-through
+                mod_bias[(3 * sub + 2) * d:(3 * sub + 3) * d] = GATE_INIT
             store.parameter(f"{b}.mod.w", np.zeros((d, 9 * d)))
             store.parameter(f"{b}.mod.b", mod_bias)
             store.parameter(f"{b}.qkv.w", normal_init(rng, (d, 3 * d)))
@@ -182,9 +181,9 @@ class Backbone:
         cfg = self.config
         p = self.prefix
         L = tokens.shape[0]
-        if tokens.shape[1] != cfg.in_channels:
+        if tokens.shape[1] != self.in_channels:
             raise DimensionMismatchError(
-                f"tokens have width {tokens.shape[1]}, backbone expects {cfg.in_channels}")
+                f"tokens have width {tokens.shape[1]}, backbone expects {self.in_channels}")
         rope = cfg.rope()
         x = ag.matmul(tokens, self.store[f"{p}.in.w"], self.store[f"{p}.in.b"])
         if video_cond is not None:

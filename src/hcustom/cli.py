@@ -16,7 +16,7 @@ import math
 import os
 import sys
 
-from .container import load_container
+from .container import load_container, reading
 from .errors import ConfigError, HCustomError
 from .eval_metrics import EvalRef, evaluate
 from .flow_match import SamplerConfig
@@ -60,9 +60,6 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args.config, args.set)
-    if args.codec_config:
-        with open(args.codec_config) as f:
-            cfg["codec"] = {**cfg.get("codec", {}), **json.load(f)}
     result = run_training(cfg, log=_emit)
     _emit(event="train-done", checkpoint=result["checkpoint"],
           final_loss=result["losses"][-1] if result["losses"] else None)
@@ -114,7 +111,8 @@ def cmd_sample(args) -> int:
         mask = None
         if args.condition_mask:
             arrays, _ = load_container(args.condition_mask)
-            mask = arrays["mask"]
+            with reading(args.condition_mask, "condition mask"):
+                mask = arrays["mask"]
         condition = ConditionVideo(PixelVideo.load(args.condition_video), mask)
     ps = model.prepare(codec, stats,
                        identity_images=[img for _, img in subjects],
@@ -190,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train codec then flow model from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--codec-config", help="JSON file overriding the codec section")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override a config entry (dotted path, last wins)")
     p.set_defaults(func=cmd_train)

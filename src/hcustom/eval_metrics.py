@@ -1,12 +1,13 @@
-"""Evaluation aggregation over pluggable embedding providers.
+"""Evaluation metrics over toy embeddings of the synthetic sprites.
 
 The report mirrors the usual customization-benchmark columns: identity
 similarity (Face-Sim), subject appearance similarity (DINO-Sim), text-video
 alignment (CLIP-B-T), temporal consistency (Temp-Consis), and dynamic
-degree (DD).  Real face/vision/text embedders stay behind the
-EmbeddingProvider interface; the toy providers embed sprites by their
-ground-truth rendering parameters (shape + hue), which makes identity
-consistency literally measure identity match at desk scale.
+degree (DD).  Toy embeddings stand in for the face, vision and text
+encoders: the identity embedding places a detected sprite by its ground-truth
+rendering parameters (shape + hue), which makes identity consistency
+literally measure identity match at desk scale, and the text embedding
+places a caption's shape and hue words in the same space.
 
 Dynamic degree is a documented proxy (mean absolute inter-frame pixel
 difference over the unit value range) rather than an optical-flow measure.
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Protocol
 
 import numpy as np
 
@@ -26,12 +26,9 @@ from .synth_data import (HUE_NAMES, N_HUE_BINS, SHAPES, BBox,
                          render_sprite_alpha)
 
 METRIC_COLUMNS = ("Face-Sim", "CLIP-B-T", "DINO-Sim", "Temp-Consis", "DD")
-
-
-class EmbeddingProvider(Protocol):
-    def embed_frame(self, image: np.ndarray) -> np.ndarray: ...
-    def embed_text(self, text: str) -> np.ndarray: ...
-    def detect_subject(self, frame: np.ndarray) -> tuple[BBox, np.ndarray] | None: ...
+SPRITE_SATURATION = 0.18  # channel spread (max - min) above which a pixel is sprite
+MIN_SPRITE_PIXELS = 12    # smaller detections count as missing
+SHAPE_TEMPERATURE = 16.0  # sharpens shape IoUs into shape probabilities
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -90,23 +87,23 @@ def masked_region_error(generated: np.ndarray, source: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# sprite analysis shared by the toy providers
+# sprite analysis
 
 
-def detect_sprite(frame: np.ndarray, saturation_min: float = 0.18,
-                  min_pixels: int = 12):
-    """Locate the saturated sprite against the near-gray background."""
+def detect_sprite(frame: np.ndarray) -> tuple[BBox, np.ndarray] | None:
+    """Locate the saturated sprite against the near-gray background: the
+    bounding box and mask of the largest saturated component, or None."""
     frame = np.asarray(frame, dtype=np.float64)
     sat = frame.max(axis=-1) - frame.min(axis=-1)
-    mask = sat > saturation_min
-    if mask.sum() < min_pixels:
+    mask = sat > SPRITE_SATURATION
+    if mask.sum() < MIN_SPRITE_PIXELS:
         return None
     from scipy import ndimage  # deferred: 26 MB resident, see tests/test_layering.py
     labels, n = ndimage.label(mask)
     if n > 1:
         sizes = ndimage.sum_labels(np.ones_like(labels), labels, index=range(1, n + 1))
         mask = labels == (int(np.argmax(sizes)) + 1)
-        if mask.sum() < min_pixels:
+        if mask.sum() < MIN_SPRITE_PIXELS:
             return None
     ys, xs = np.nonzero(mask)
     box = BBox(int(xs.min()), int(ys.min()), int(xs.max()) + 1, int(ys.max()) + 1)
@@ -171,69 +168,57 @@ def shape_scores(mask: np.ndarray, box: BBox) -> np.ndarray:
     return np.asarray(scores)
 
 
-def shape_probs(mask: np.ndarray, box: BBox, temperature: float = 16.0) -> np.ndarray:
-    s = temperature * shape_scores(mask, box)
+def shape_probs(mask: np.ndarray, box: BBox) -> np.ndarray:
+    s = SHAPE_TEMPERATURE * shape_scores(mask, box)
     e = np.exp(s - s.max())
     return e / e.sum()
 
 
-class ToyIdentityProvider:
-    """Identity embedding from rendering parameters: shape probs + hue phase."""
-
-    dim = len(SHAPES) + 3
-
-    def detect_subject(self, frame: np.ndarray):
-        hit = detect_sprite(frame)
-        if hit is None:
-            return None
-        box, _ = hit
-        return box, np.asarray(frame)[box.y0:box.y1, box.x0:box.x1]
-
-    def embed_frame(self, image: np.ndarray) -> np.ndarray:
-        hit = detect_sprite(image)
-        out = np.zeros(self.dim)
-        if hit is None:
-            out[-1] = 1.0  # deterministic "nothing detected" direction
-            return out
-        box, mask = hit
-        hue = estimate_hue(image, mask)
-        out[:len(SHAPES)] = shape_probs(mask, box)
-        out[len(SHAPES)] = np.cos(2 * np.pi * hue)
-        out[len(SHAPES) + 1] = np.sin(2 * np.pi * hue)
-        return _unit(out)
-
-    def embed_text(self, text: str) -> np.ndarray:
-        out = np.zeros(self.dim)
-        words = text.lower().split()
-        for i, s in enumerate(SHAPES):
-            if s in words:
-                out[i] = 1.0
-        for b, name in enumerate(HUE_NAMES):
-            if name in words:
-                hue = b / N_HUE_BINS
-                out[len(SHAPES)] = np.cos(2 * np.pi * hue)
-                out[len(SHAPES) + 1] = np.sin(2 * np.pi * hue)
-        if not out.any():
-            out[-1] = 1.0
-        return _unit(out)
+_IDENTITY_DIM = len(SHAPES) + 3  # shape probs, hue phase (cos, sin), "nothing"
 
 
-class ToyAppearanceProvider:
-    """DINO-like appearance embedding: centered 8x8 thumbnail of the crop."""
+def identity_embedding(image: np.ndarray, hit) -> np.ndarray:
+    """Shape probabilities and hue phase of the sprite that `hit`
+    (`detect_sprite(image)`) found in `image`."""
+    out = np.zeros(_IDENTITY_DIM)
+    if hit is None:
+        out[-1] = 1.0  # deterministic "nothing detected" direction
+        return out
+    box, mask = hit
+    hue = estimate_hue(image, mask)
+    out[:len(SHAPES)] = shape_probs(mask, box)
+    out[len(SHAPES)] = np.cos(2 * np.pi * hue)
+    out[len(SHAPES) + 1] = np.sin(2 * np.pi * hue)
+    return _unit(out)
 
-    grid = 8
 
-    def detect_subject(self, frame: np.ndarray):
-        return ToyIdentityProvider.detect_subject(self, frame)
+def text_embedding(text: str) -> np.ndarray:
+    """The shape and hue words of `text`, in the identity embedding's space."""
+    out = np.zeros(_IDENTITY_DIM)
+    words = text.lower().split()
+    for i, s in enumerate(SHAPES):
+        if s in words:
+            out[i] = 1.0
+    for b, name in enumerate(HUE_NAMES):
+        if name in words:
+            hue = b / N_HUE_BINS
+            out[len(SHAPES)] = np.cos(2 * np.pi * hue)
+            out[len(SHAPES) + 1] = np.sin(2 * np.pi * hue)
+    if not out.any():
+        out[-1] = 1.0
+    return _unit(out)
 
-    def embed_frame(self, image: np.ndarray) -> np.ndarray:
-        pooled = adaptive_pool_image(np.asarray(image, dtype=np.float64), self.grid)
-        flat = pooled.reshape(-1)
-        flat = flat - flat.mean()
-        return _unit(np.concatenate([flat, [0.05]]))
 
-    def embed_text(self, text: str) -> np.ndarray:
-        raise NotImplementedError("appearance provider has no text branch")
+def appearance_embedding(image: np.ndarray) -> np.ndarray:
+    """DINO-like appearance embedding: the centered 8x8 thumbnail of the image."""
+    pooled = adaptive_pool_image(np.asarray(image, dtype=np.float64), 8)
+    flat = pooled.reshape(-1)
+    flat = flat - flat.mean()
+    return _unit(np.concatenate([flat, [0.05]]))
+
+
+def _crop(image: np.ndarray, box: BBox) -> np.ndarray:
+    return np.asarray(image)[box.y0:box.y1, box.x0:box.x1]
 
 
 @dataclass
@@ -285,43 +270,39 @@ class MetricsReport:
             json.dump(payload, f, indent=1, sort_keys=True)
 
 
-def default_providers() -> dict:
-    ident = ToyIdentityProvider()
-    return {"face": ident, "subject": ToyAppearanceProvider(), "text": ident}
+def evaluate(videos: list[PixelVideo], refs: list[EvalRef]) -> MetricsReport:
+    """Aggregate the benchmark metrics over (generated video, reference) pairs.
 
-
-def evaluate(videos: list[PixelVideo], refs: list[EvalRef],
-             providers: dict | None = None) -> MetricsReport:
-    """Aggregate the benchmark metrics over (generated video, reference) pairs."""
-    providers = providers or default_providers()
-    face = providers["face"]
-    subject = providers["subject"]
-    text = providers["text"]
+    The sprite is detected once per frame; Face-Sim and DINO-Sim compare the
+    crops of the detected sprite with the reference image, and CLIP-B-T
+    compares each whole frame's identity embedding with the prompt's.
+    """
     rows = []
     missing_total = 0
     for video, ref in zip(videos, refs):
         frames = video.data
         row: dict = {}
-        det = [face.detect_subject(fr) for fr in frames]
-        missing = sum(1 for d in det if d is None)
+        hits = [detect_sprite(fr) for fr in frames]
+        crops = [_crop(fr, hit[0]) for fr, hit in zip(frames, hits) if hit is not None]
+        missing = len(frames) - len(crops)
         missing_total += missing
         row["missing_detections"] = missing
-        if ref.identity_image is not None:
-            crops = [d[1] for d in det if d is not None]
-            if crops:
-                ref_face = face.embed_frame(ref.identity_image.data[0])
-                row["face_sim"] = id_consistency(ref_face, [face.embed_frame(c) for c in crops])
-                ref_hit = subject.detect_subject(ref.identity_image.data[0])
-                ref_crop = ref_hit[1] if ref_hit else ref.identity_image.data[0]
-                row["dino_sim"] = id_consistency(subject.embed_frame(ref_crop),
-                                                 [subject.embed_frame(c) for c in crops])
+        if ref.identity_image is not None and crops:
+            image = ref.identity_image.data[0]
+            ref_hit = detect_sprite(image)
+            row["face_sim"] = id_consistency(
+                identity_embedding(image, ref_hit),
+                [identity_embedding(c, detect_sprite(c)) for c in crops])
+            ref_crop = _crop(image, ref_hit[0]) if ref_hit else image
+            row["dino_sim"] = id_consistency(appearance_embedding(ref_crop),
+                                             [appearance_embedding(c) for c in crops])
         if ref.prompt:
-            t_embed = text.embed_text(ref.prompt)
-            row["clip_bt"] = id_consistency(t_embed,
-                                            [text.embed_frame(fr) for fr in frames])
+            row["clip_bt"] = id_consistency(
+                text_embedding(ref.prompt),
+                [identity_embedding(fr, hit) for fr, hit in zip(frames, hits)])
         if len(frames) >= 2:
             row["temp_consis"] = temporal_consistency(
-                [subject.embed_frame(fr) for fr in frames])
+                [appearance_embedding(fr) for fr in frames])
         row["dd"] = dynamic_degree(frames)
         rows.append(row)
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import autograd as ag
 from .container import load_container, reading, save_container
-from .errors import ConfigError, ConfigMismatchError, DimensionMismatchError
+from .errors import ConfigError, ConfigMismatchError, ContainerError, DimensionMismatchError
 from .nn import ParamStore, conv_init, fit, normal_init
 
 TEMPORAL_STRIDE = 4
@@ -47,6 +47,8 @@ PIXEL_MEAN = 0.5            # pixels are centered on mid-gray before encoding
 TRAIN_WINDOW = 1 + TEMPORAL_STRIDE  # a first frame plus one full group
 FOCUS_DILATION = 3          # pixels the codec's focus masks grow by
 FOCUS_WEIGHT = 3.0          # extra weight of the error inside a focus mask
+DECODER_WIDTH = 1.5         # decoder stage widths relative to the encoder mirror
+CODEC_VERSION = "hcustom-codec/2"
 
 
 @dataclass
@@ -122,17 +124,12 @@ class CodecConfig:
     spatial_factor: int = 8
     latent_channels: int = 16
     hidden_channels: int = 16
-    decoder_width: float = 1.5  # widens decoder stages relative to the encoder mirror
     seed: int = 0
 
     def __post_init__(self):
         s = self.spatial_factor
         if s < 2 or (s & (s - 1)) != 0:
             raise ConfigError("spatial_factor", f"must be a power of two >= 2, got {s}")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CodecConfig":
-        return cls(**d)
 
 
 def latent_frame_count(pixel_frames: int) -> int:
@@ -157,7 +154,7 @@ class LatentCodec:
 
     def _decoder_channels(self) -> list[int]:
         mirror = list(reversed(self._stage_channels()[:-1]))
-        return [int(round(c * self.config.decoder_width)) for c in mirror]
+        return [int(round(c * DECODER_WIDTH)) for c in mirror]
 
     def _build_params(self):
         rng = np.random.default_rng(self.config.seed)
@@ -284,13 +281,16 @@ class LatentCodec:
 
     def save(self, path):
         save_container(path, self.store.state_dict(),
-                       meta={"version": "hcustom-codec/1", "config": asdict(self.config)})
+                       meta={"version": CODEC_VERSION, "config": asdict(self.config)})
 
     @classmethod
     def load(cls, path) -> "LatentCodec":
         arrays, meta = load_container(path)
+        if meta.get("version") != CODEC_VERSION:
+            raise ContainerError(f"{path}: codec version {meta.get('version')!r}, "
+                                 f"this program reads {CODEC_VERSION!r}")
         with reading(path, "codec config"):
-            config = CodecConfig.from_dict(meta["config"])
+            config = CodecConfig(**meta["config"])
         codec = cls(config)
         with reading(path, "codec arrays"):
             codec.store.load_state_dict(arrays)

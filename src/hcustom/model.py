@@ -20,25 +20,24 @@ from dataclasses import dataclass, field, asdict, replace
 import numpy as np
 
 from . import autograd as ag
-from .audio_net import (AlignedAudio, AudioInjectConfig, AudioInjector, align_audio,
-                        inject_audio_t)
+from .audio_net import (AUDIO_FEATURE_WIDTH, AlignedAudio, AudioInjectConfig, AudioInjector,
+                        align_audio, inject_audio_t)
 from .backbone import Backbone, BackboneConfig
 from .container import load_container, reading, save_container
-from .errors import ConfigError, DimensionMismatchError
+from .errors import ConfigError, ContainerError, DimensionMismatchError
 from .latent_codec import CodecConfig, LatentCodec, latent_frame_count, tokenize
 from .nn import ParamStore, normal_init
 from .prompt_fusion import PromptSpec, ToyMultimodalEncoder, fuse_t
 from .rope3d import rotation_tables, sequence_positions
 from .video_inject import AlignmentNet, ConcatCompressor, encode_condition
 
-CHECKPOINT_VERSION = "hcustom-ckpt/1"
+CHECKPOINT_VERSION = "hcustom-ckpt/2"
 
 
 @dataclass(frozen=True)
 class ModelConfig:
     backbone: BackboneConfig = field(default_factory=BackboneConfig)
     audio: AudioInjectConfig = field(default_factory=AudioInjectConfig)
-    audio_feature_width: int = 32
     align_hidden: int | None = None          # defaults to backbone width
     video_mode: str = "add"
     identity_enhancement: bool = True
@@ -53,9 +52,6 @@ class ModelConfig:
                               "disable identity_enhancement")
         if self.video_mode not in ("add", "concat"):
             raise ConfigError("video_mode", f"unknown mode {self.video_mode!r}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -131,13 +127,11 @@ class CustomVideoModel:
         rng = np.random.default_rng(config.seed)
         bb = config.backbone
         c = bb.latent_channels
-        in_channels = 2 * c if config.channel_concat else c
-        self.backbone = Backbone(
-            self.store, rng,
-            BackboneConfig(**{**asdict(bb), "input_channels": in_channels}))
+        self.backbone = Backbone(self.store, rng, bb,
+                                 in_channels=2 * c if config.channel_concat else c)
         self.encoder = ToyMultimodalEncoder(self.store, rng, d_text=bb.text_width)
-        self.audio_injector = AudioInjector(self.store, rng, c,
-                                            config.audio_feature_width, config.audio)
+        self.audio_injector = AudioInjector(self.store, rng, c, AUDIO_FEATURE_WIDTH,
+                                            config.audio)
         self.align_net = AlignmentNet(self.store, rng, c, config.align_hidden or bb.width,
                                       zero_output=config.video_mode != "concat")
         self.compressor = ConcatCompressor(self.store, c)
@@ -229,6 +223,10 @@ class CustomVideoModel:
                                    dtype=self.store.dtype)
         aligned = None
         if audio is not None:
+            if audio.feature_width != AUDIO_FEATURE_WIDTH:
+                raise DimensionMismatchError(
+                    f"audio features have width {audio.feature_width}, "
+                    f"the model reads {AUDIO_FEATURE_WIDTH}")
             aligned = align_audio(audio, f)
             if not use_identity_tokens or m != 1:
                 raise ConfigError("audio",
@@ -261,7 +259,7 @@ def save_checkpoint(path, model: CustomVideoModel, codec: LatentCodec,
     meta = {
         "version": CHECKPOINT_VERSION,
         "step": step,
-        "model_config": model.config.to_dict(),
+        "model_config": asdict(model.config),
         "codec_config": asdict(codec.config),
         "dtype": model.store.dtype.str,
     }
@@ -281,14 +279,15 @@ def load_checkpoint(path, lambda_a: float | None = None
     """
     arrays, meta = load_container(path)
     if meta.get("version") != CHECKPOINT_VERSION:
-        raise ConfigError("checkpoint", f"unsupported version {meta.get('version')!r}")
+        raise ContainerError(f"{path}: checkpoint version {meta.get('version')!r}, "
+                             f"this program reads {CHECKPOINT_VERSION!r}")
     with reading(path, "meta"):
         dtype = np.dtype(meta.get("dtype", "<f4"))
         model_dict, codec_dict, step = meta["model_config"], meta["codec_config"], meta["step"]
     with reading(path, "model_config"):
         config = ModelConfig.from_dict(model_dict)
     with reading(path, "codec_config"):
-        codec_config = CodecConfig.from_dict(codec_dict)
+        codec_config = CodecConfig(**codec_dict)
     if lambda_a is not None:
         config = replace(config, audio=replace(config.audio, lambda_a=lambda_a))
     model = CustomVideoModel(config, dtype=dtype)

@@ -11,6 +11,8 @@ from .autograd import Tensor, mul
 from .errors import NumericalFailureError
 
 DIVERGENCE_LIMIT = 1e3
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 
 
 class ParamStore:
@@ -85,12 +87,9 @@ class Adam:
     textbook formula, so the arithmetic is that of the unfused expressions.
     """
 
-    def __init__(self, store: ParamStore, lr=1e-3, betas=(0.9, 0.999), eps=1e-8,
-                 clip_norm=1.0):
+    def __init__(self, store: ParamStore, lr=1e-3, clip_norm=1.0):
         self.store = store
         self.lr = float(lr)
-        self.b1, self.b2 = betas
-        self.eps = float(eps)
         self.clip_norm = clip_norm
         self.t = 0
         self._m = {name: np.zeros_like(p.data) for name, p in store.items()}
@@ -112,8 +111,9 @@ class Adam:
         if self.clip_norm is not None and norm > self.clip_norm:
             scale = self.clip_norm / norm
         self.t += 1
-        b1t = 1.0 - self.b1 ** self.t
-        b2t = 1.0 - self.b2 ** self.t
+        b1, b2 = ADAM_BETAS
+        b1t = 1.0 - b1 ** self.t
+        b2t = 1.0 - b2 ** self.t
         for name in sorted(grads):
             p = self.store[name]
             m = self._m[name]
@@ -122,16 +122,16 @@ class Adam:
             g = grads[name]
             if scale != 1.0:
                 g = np.multiply(g, scale, out=s1)
-            m *= self.b1
-            m += np.multiply(g, 1.0 - self.b1, out=s2)
-            v *= self.b2
+            m *= b1
+            m += np.multiply(g, 1.0 - b1, out=s2)
+            v *= b2
             np.multiply(g, g, out=s2)
-            s2 *= 1.0 - self.b2
+            s2 *= 1.0 - b2
             v += s2
             # p -= lr * (m / b1t) / (sqrt(v / b2t) + eps)
             np.divide(v, b2t, out=s2)
             np.sqrt(s2, out=s2)
-            s2 += self.eps
+            s2 += ADAM_EPS
             np.divide(m, b1t, out=s1)
             s1 *= self.lr
             s1 /= s2

@@ -18,11 +18,11 @@ import numpy as np
 from .audio_net import AudioInjectConfig
 from .backbone import BackboneConfig
 from .errors import ConfigError
-from .eval_metrics import (EvalRef, evaluate, frame_error,
+from .eval_metrics import (SPRITE_SATURATION, EvalRef, evaluate, frame_error,
                            masked_region_error)
 from .flow_match import NoiseSchedule, SamplerConfig, sample_flow, train_flow
-from .latent_codec import (FOCUS_WEIGHT, CodecConfig, LatentCodec, PixelVideo, tokenize,
-                           train_codec, untokenize)
+from .latent_codec import (CodecConfig, LatentCodec, PixelVideo, tokenize, train_codec,
+                           untokenize)
 from .model import (CustomVideoModel, LatentStats, ModelConfig, PreparedSample,
                     save_checkpoint)
 from .prompt_fusion import PromptSpec, Template
@@ -46,10 +46,14 @@ DEFAULT_CONFIG = {
     "schedule": {"m": 0.0, "s": 1.0},
     "train": {"steps": 300, "batch_size": 2, "learning_rate": 1e-3,
               "clip_norm": 1.0, "checkpoint_every": 0},
-    "sample": {"steps": 50, "count": 4},
+    "sample": {"steps": 50},
+    # the sections of one task; a run of another task builds that branch at
+    # these values and may not set them
+    "audio": {"lambda_a": 1.0, "width": 32, "heads": 1},
+    "video_inject": {"mode": "add", "align_hidden": None},
 }
 
-_OPTIONAL_SECTIONS = {"audio": "audio_custom", "video_inject": "video_custom"}
+_TASK_SECTIONS = {"audio": "audio_custom", "video_inject": "video_custom"}
 
 
 def merge_config(base: dict, override: dict) -> dict:
@@ -83,23 +87,33 @@ def apply_overrides(config: dict, pairs: list[str]) -> dict:
     return config
 
 
+def _check_keys(config: dict, schema: dict, path: str = ""):
+    """Raise ConfigError naming the dotted key of each entry of `config`
+    that `schema` does not have, or whose nesting differs from it."""
+    for key, value in config.items():
+        dotted = f"{path}{key}"
+        if key not in schema:
+            raise ConfigError(dotted, "unknown key")
+        section = isinstance(schema[key], dict)
+        if section != isinstance(value, dict):
+            raise ConfigError(dotted, "must be a section" if section else "must be a value")
+        if section:
+            _check_keys(value, schema[key], f"{dotted}.")
+
+
 def validate_config(config: dict) -> dict:
-    """Fill defaults, check task/section compatibility; returns the resolved dict."""
-    cfg = merge_config(DEFAULT_CONFIG, config)
-    if cfg["task"] not in TASKS:
-        raise ConfigError("task", f"must be one of {TASKS}, got {cfg['task']!r}")
-    for section, task in _OPTIONAL_SECTIONS.items():
-        if section in config and cfg["task"] != task:
-            raise ConfigError(section,
-                              f"section is only valid for task {task!r}, "
-                              f"not {cfg['task']!r}")
-    if cfg["ablation"]["channel_concat"] and cfg["ablation"]["identity_enhancement"]:
-        raise ConfigError("ablation.channel_concat",
-                          "channel concat replaces identity enhancement")
-    if cfg["task"] == "audio_custom":
-        cfg.setdefault("audio", {"lambda_a": 1.0, "width": 32, "heads": 1})
-    if cfg["task"] == "video_custom":
-        cfg.setdefault("video_inject", {"mode": "add", "align_hidden": None})
+    """Check every key against DEFAULT_CONFIG and fill in its defaults,
+    with the task's own section; returns the resolved dict."""
+    _check_keys(config, DEFAULT_CONFIG)
+    task = config.get("task", DEFAULT_CONFIG["task"])
+    if task not in TASKS:
+        raise ConfigError("task", f"must be one of {TASKS}, got {task!r}")
+    for section, owner in _TASK_SECTIONS.items():
+        if section in config and task != owner:
+            raise ConfigError(section, f"section is only valid for task {owner!r}, "
+                                       f"not {task!r}")
+    schema = {k: v for k, v in DEFAULT_CONFIG.items() if _TASK_SECTIONS.get(k, task) == task}
+    cfg = merge_config(schema, config)
     if cfg["template"] not in ("image_appended", "image_embedded"):
         raise ConfigError("template", f"unknown template {cfg['template']!r}")
     return cfg
@@ -110,22 +124,19 @@ def serialize_config(cfg: dict) -> str:
 
 
 def model_config_from(cfg: dict) -> ModelConfig:
-    m = cfg["model"]
-    audio = cfg.get("audio", {})
-    vid = cfg.get("video_inject", {})
-    ab = cfg["ablation"]
+    """The model of the validated config `cfg`.  A task without an audio or
+    video_inject section builds those branches at their DEFAULT_CONFIG values."""
+    cfg = {**DEFAULT_CONFIG, **cfg}
+    m, audio, vid, ab = cfg["model"], cfg["audio"], cfg["video_inject"], cfg["ablation"]
     backbone = BackboneConfig(
         width=m["width"], heads=m["heads"], blocks=m["blocks"],
         latent_channels=cfg["codec"]["latent_channels"],
-        text_width=m["text_width"], mlp_ratio=m["mlp_ratio"],
-        gate_init=m.get("gate_init", 1.0))
+        text_width=m["text_width"], mlp_ratio=m["mlp_ratio"])
     return ModelConfig(
         backbone=backbone,
-        audio=AudioInjectConfig(lambda_a=audio.get("lambda_a", 1.0),
-                                width=audio.get("width", 32),
-                                heads=audio.get("heads", 1)),
-        align_hidden=vid.get("align_hidden"),
-        video_mode=vid.get("mode", "add"),
+        audio=AudioInjectConfig(**audio),
+        align_hidden=vid["align_hidden"],
+        video_mode=vid["mode"],
         identity_enhancement=ab["identity_enhancement"],
         channel_concat=ab["channel_concat"],
         fusion_images=ab["fusion_images"],
@@ -138,7 +149,6 @@ def codec_config_from(cfg: dict) -> CodecConfig:
     return CodecConfig(spatial_factor=c["spatial_factor"],
                        latent_channels=c["latent_channels"],
                        hidden_channels=c["hidden_channels"],
-                       decoder_width=c.get("decoder_width", 1.5),
                        seed=cfg["seed"])
 
 
@@ -202,7 +212,7 @@ def codec_training_set(samples: list[TrainSample]):
         for img in s.identity_images:
             videos.append(img)
             sat = img.data.max(axis=-1) - img.data.min(axis=-1)
-            masks.append((sat > 0.18).astype(np.uint8))
+            masks.append((sat > SPRITE_SATURATION).astype(np.uint8))
     return videos, masks
 
 
@@ -227,7 +237,7 @@ def run_training(cfg: dict, log=None, codec: LatentCodec | None = None) -> dict:
         codec_losses = train_codec(
             codec, codec_videos, steps=c["train_steps"], batch_size=c["batch_size"],
             learning_rate=c["learning_rate"], seed=cfg["seed"],
-            focus_masks=codec_masks, focus_weight=c.get("focus_weight", FOCUS_WEIGHT),
+            focus_masks=codec_masks,
             log=(lambda **kw: log(stage="codec", **kw)) if log else None)
     elif codec.config != codec_config:
         raise ConfigError("codec", "the given codec was built from another codec config")

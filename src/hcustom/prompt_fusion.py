@@ -20,6 +20,7 @@ image, not on the projected features.
 
 from __future__ import annotations
 
+import hashlib
 import re
 import zlib
 from dataclasses import dataclass, field
@@ -40,13 +41,15 @@ IMAGE_TEXT = "<image>"
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 
-DEFAULT_VOCAB = (
+VOCAB = (
     "a an the and is are was over on in at to of with looks like moves drifts "
     "across under behind beside around background scene while slowly quickly "
     "red orange amber yellow lime green teal cyan blue violet purple magenta "
     "gray circle square triangle star sprite subject pulse pulses speaks sings "
     "textured striped ringed flat small large plain calm busy left right up down"
 ).split()
+OOV_BUCKETS = 32  # table rows that out-of-vocabulary words hash into
+_TOKEN_IDS = {w: i for i, w in enumerate(VOCAB)}
 
 
 class Template(str, Enum):
@@ -138,16 +141,14 @@ class ToyMultimodalEncoder:
     pooled colour once.
     """
 
-    def __init__(self, store: ParamStore, rng: np.random.Generator,
-                 d_text: int = 128, vocab: tuple[str, ...] = tuple(DEFAULT_VOCAB),
-                 oov_buckets: int = 32, prefix: str = "encoder"):
+    prefix = "encoder"
+
+    def __init__(self, store: ParamStore, rng: np.random.Generator, d_text: int = 128):
         self.d_text = d_text
-        self.vocab = {w: i for i, w in enumerate(vocab)}
-        self.oov_buckets = oov_buckets
-        self.prefix = prefix
         self.store = store
         self._pool_cache: dict = {}
-        n_rows = len(vocab) + oov_buckets
+        prefix = self.prefix
+        n_rows = len(VOCAB) + OOV_BUCKETS
         store.parameter(f"{prefix}.token_table", normal_init(rng, (n_rows, d_text), std=0.02))
         store.parameter(f"{prefix}.sep", normal_init(rng, (d_text,), std=0.02))
         store.parameter(f"{prefix}.image.w", normal_init(rng, (3, d_text)))
@@ -155,9 +156,9 @@ class ToyMultimodalEncoder:
 
     def token_id(self, word: str) -> int:
         w = word.lower()
-        if w in self.vocab:
-            return self.vocab[w]
-        return len(self.vocab) + zlib.crc32(w.encode("utf-8")) % self.oov_buckets
+        if w in _TOKEN_IDS:
+            return _TOKEN_IDS[w]
+        return len(VOCAB) + zlib.crc32(w.encode("utf-8")) % OOV_BUCKETS
 
     def encode_text_t(self, words: list[str]) -> ag.Tensor:
         if not words:
@@ -171,11 +172,13 @@ class ToyMultimodalEncoder:
     def _pooled(self, image: PixelVideo) -> tuple[np.ndarray, np.ndarray]:
         """The distinct rows of the image's 24x24 pooled RGB grid, and how
         many of its IMAGE_TOKENS cells each row fills."""
-        # pooling is pure and images are reused every step: cache by content
-        key = (image.data.shape, zlib.crc32(image.data.tobytes()))
+        # pooling is pure and images are reused every step: cache by content,
+        # under a digest that no two images can be made to share
+        data = image.data
+        key = (data.shape, data.dtype.str, hashlib.sha256(data.tobytes()).digest())
         hit = self._pool_cache.get(key)
         if hit is None:
-            pooled = adaptive_pool_image(image.data[0]).reshape(IMAGE_TOKENS, 3)
+            pooled = adaptive_pool_image(data[0]).reshape(IMAGE_TOKENS, 3)
             hit = np.unique(pooled.astype(self.store.dtype), axis=0, return_counts=True)
             if len(self._pool_cache) < 4096:
                 self._pool_cache[key] = hit

@@ -23,11 +23,12 @@ import numpy as np
 from . import autograd as ag
 from .errors import ConfigError
 
+ROPE_BASE = 10000.0  # frequency base of every axis segment
+
 
 @dataclass(frozen=True)
 class RopeConfig:
     head_dim: int
-    base: float = 10000.0
 
     def __post_init__(self):
         if self.head_dim < 8 or self.head_dim % 8:
@@ -65,7 +66,7 @@ def _pair_angles(positions: np.ndarray, config: RopeConfig) -> np.ndarray:
     chunks = []
     for axis, da in enumerate(config.segments()):
         m = np.arange(da // 2, dtype=np.float64)
-        freqs = config.base ** (-2.0 * m / da)
+        freqs = ROPE_BASE ** (-2.0 * m / da)
         chunks.append(positions[:, axis:axis + 1].astype(np.float64) * freqs)
     return np.concatenate(chunks, axis=1)
 
@@ -122,7 +123,7 @@ def rotate(vector: np.ndarray, pos, config: RopeConfig) -> np.ndarray:
 
     Within each axis segment of size d_a the vector is treated as d_a/2
     two-dimensional pairs (first half, second half), each rotated by
-    pos_axis * base**(-2m/d_a).  Norm-preserving by construction.
+    pos_axis * ROPE_BASE**(-2m/d_a).  Norm-preserving by construction.
     """
     vector = np.asarray(vector)
     if vector.shape != (config.head_dim,):

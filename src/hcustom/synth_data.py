@@ -23,8 +23,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .audio_net import AudioTrack
-from .container import load_container, save_container
+from .audio_net import AUDIO_FEATURE_WIDTH, AudioTrack
+from .container import load_container, reading, save_container
 from .errors import InfeasibleCropError
 from .latent_codec import PixelVideo
 
@@ -35,7 +35,6 @@ HUE_NAMES = ("red", "orange", "amber", "yellow", "lime", "green",
 CATEGORIES = ("humans", "animals", "plants", "landscapes", "vehicles",
               "objects", "architecture", "anime")
 N_HUE_BINS = len(HUE_NAMES)
-AUDIO_FEATURE_WIDTH = 32
 _AUDIO_BASIS = np.random.default_rng(918273).normal(
     0.0, 1.0, size=(4, AUDIO_FEATURE_WIDTH)).astype(np.float32)
 
@@ -340,27 +339,28 @@ def save_sample(sample: TrainSample, path):
 
 def load_sample(path) -> TrainSample:
     arrays, meta = load_container(path)
-    identities = [SpriteIdentity(**d) for d in meta["identities"]]
-    ann = dict(meta["annotation"])
-    ann["frame_subjects"] = [{int(k): v for k, v in fr.items()}
-                             for fr in ann["frame_subjects"]]
-    ann["face_boxes"] = {int(k): v for k, v in ann["face_boxes"].items()}
-    ann["id_merges"] = [tuple(m) for m in ann["id_merges"]]
-    scene = SceneParams(**meta["scene"])
-    return TrainSample(
-        video=PixelVideo(arrays["video"], fps=meta["fps"]),
-        identities=identities,
-        identity_images=[PixelVideo(arrays[f"identity_image_{i}"], fps=meta["fps"])
-                         for i in range(len(identities))],
-        audio=AudioTrack(arrays["audio"]),
-        masks=arrays["masks"],
-        subject_masks=[arrays[f"subject_mask_{i}"] for i in range(len(identities))],
-        caption=meta["caption"],
-        descriptors=list(meta["descriptors"]),
-        annotation=AnnotationRecord(**ann),
-        seed=meta["seed"],
-        scene=scene,
-    )
+    with reading(path, "train sample"):
+        identities = [SpriteIdentity(**d) for d in meta["identities"]]
+        ann = dict(meta["annotation"])
+        ann["frame_subjects"] = [{int(k): v for k, v in fr.items()}
+                                 for fr in ann["frame_subjects"]]
+        ann["face_boxes"] = {int(k): v for k, v in ann["face_boxes"].items()}
+        ann["id_merges"] = [tuple(m) for m in ann["id_merges"]]
+        scene = SceneParams(**meta["scene"])
+        return TrainSample(
+            video=PixelVideo(arrays["video"], fps=meta["fps"]),
+            identities=identities,
+            identity_images=[PixelVideo(arrays[f"identity_image_{i}"], fps=meta["fps"])
+                             for i in range(len(identities))],
+            audio=AudioTrack(arrays["audio"]),
+            masks=arrays["masks"],
+            subject_masks=[arrays[f"subject_mask_{i}"] for i in range(len(identities))],
+            caption=meta["caption"],
+            descriptors=list(meta["descriptors"]),
+            annotation=AnnotationRecord(**ann),
+            seed=meta["seed"],
+            scene=scene,
+        )
 
 
 def identity_pool(seed: int, count: int, sizes=(20, 26)) -> list[SpriteIdentity]:

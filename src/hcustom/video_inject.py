@@ -71,12 +71,12 @@ class AlignmentNet:
     """
 
     NUM_LAYERS = 4
+    prefix = "align"
 
     def __init__(self, store: ParamStore, rng: np.random.Generator,
-                 channels: int, hidden: int, prefix: str = "align",
-                 zero_output: bool = True):
+                 channels: int, hidden: int, zero_output: bool = True):
         self.store = store
-        self.prefix = prefix
+        prefix = self.prefix
         dims = [channels, hidden, hidden, hidden, channels]
         for i in range(self.NUM_LAYERS):
             zero = zero_output and i == self.NUM_LAYERS - 1
@@ -104,12 +104,13 @@ class ConcatCompressor:
     gradient from the first step and the alignment net from the second.
     """
 
-    def __init__(self, store: ParamStore, channels: int, prefix: str = "vidcat"):
+    prefix = "vidcat"
+
+    def __init__(self, store: ParamStore, channels: int):
         self.store = store
-        self.prefix = prefix
         w = np.concatenate([np.eye(channels), np.zeros((channels, channels))], axis=0)
-        store.parameter(f"{prefix}.w", w)
-        store.parameter(f"{prefix}.b", np.zeros(channels))
+        store.parameter(f"{self.prefix}.w", w)
+        store.parameter(f"{self.prefix}.b", np.zeros(channels))
 
     def forward_t(self, video: ag.Tensor, condition: ag.Tensor) -> ag.Tensor:
         """video [f*wh, c] and aligned condition [f*wh, c] -> [f*wh, c]."""

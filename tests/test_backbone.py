@@ -14,7 +14,7 @@ SMALL = BackboneConfig(width=16, heads=2, blocks=1, latent_channels=4, text_widt
 
 def build(config=SMALL, dtype=np.float64, seed=0):
     store = ParamStore(dtype=dtype)
-    return Backbone(store, np.random.default_rng(seed), config), store
+    return Backbone(store, np.random.default_rng(seed), config, config.latent_channels), store
 
 
 def _forward_setup(model, f=2, h=2, w=2, m=1, n_text=5, seed=10):

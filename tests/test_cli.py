@@ -1,5 +1,7 @@
+import ast
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ TINY_CFG = {
     "model": {"width": 16, "heads": 2, "blocks": 1, "text_width": 16, "mlp_ratio": 2},
     "train": {"steps": 4, "batch_size": 2, "learning_rate": 1e-3,
               "clip_norm": 1.0, "checkpoint_every": 2},
-    "sample": {"steps": 3, "count": 1},
+    "sample": {"steps": 3},
 }
 
 
@@ -94,7 +96,8 @@ def test_train_and_sample_cli(workspace, capsys):
 
 
 @pytest.mark.parametrize("override", ["model.heads=3", "audio.lambda_a=-1",
-                                      "codec.spatial_factor=3"])
+                                      "codec.spatial_factor=3",
+                                      "ablation.channel_concat=true"])
 def test_bad_config_value_exits_2_before_codec_training(workspace, tmp_path, capsys,
                                                         override):
     _, _, cfg_path = workspace
@@ -107,6 +110,49 @@ def test_bad_config_value_exits_2_before_codec_training(workspace, tmp_path, cap
     assert '"stage": "codec"' not in err
     field = override.split(".")[1].split("=")[0]
     assert f"config error: {field}:" in err
+
+
+@pytest.mark.parametrize("override,key", [
+    ("seeed=1", "seeed"), ("ablaton.fusion_images=false", "ablaton"),
+    ("train.stpes=5", "train.stpes"), ("ablation.fusion_imagse=false", "ablation.fusion_imagse"),
+    ("audio.widht=8", "audio.widht"),
+    # keys that earlier versions accepted
+    ("sample.count=1", "sample.count"), ("model.gate_init=0.5", "model.gate_init"),
+    ("codec.decoder_width=2", "codec.decoder_width"),
+    ("codec.focus_weight=1", "codec.focus_weight")])
+def test_unknown_config_key_exits_2_before_codec_training(workspace, tmp_path, capsys,
+                                                          override, key):
+    _, _, cfg_path = workspace
+    args = ["train", "--config", str(cfg_path), "--set", override,
+            "--set", f"out_dir={tmp_path}"]
+    if override.startswith("audio."):
+        args += ["--set", "task=audio_custom"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert '"stage": "codec"' not in err
+    assert f"config error: {key}: unknown key" in err
+
+
+@pytest.mark.parametrize("config,key", [({"train": 5}, "train"),
+                                        ({"seed": {"value": 1}}, "seed")])
+def test_config_entry_of_the_wrong_kind_is_rejected(config, key):
+    with pytest.raises(ConfigError) as exc:
+        validate_config(config)
+    assert exc.value.field == key
+
+
+def test_checked_in_configs_pass_the_strict_schema():
+    from conftest import ABLATION_CFG, OVERFIT_CFG
+    root = pathlib.Path(__file__).resolve().parents[1]
+    configs = [json.loads(p.read_text()) for p in sorted(root.glob("configs/*.json"))]
+    configs += [OVERFIT_CFG, ABLATION_CFG, TINY_CFG]
+    for demo in sorted(root.glob("demos/*.py")):
+        for node in ast.walk(ast.parse(demo.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "validate_config":
+                configs.append(ast.literal_eval(node.args[0]))
+    assert len(configs) >= 5
+    for cfg in configs:
+        validate_config(cfg)
 
 
 def test_sample_rejects_negative_lambda_before_loading(tmp_path, capsys):
@@ -383,4 +429,56 @@ def test_sample_reports_a_subject_image_that_is_not_a_pixel_video(sample_checkpo
                "--frames", "5", "--steps", "2", "--out", str(tmp_path / "out.hc")])
     assert rc == 1
     assert f"error: {ckpt}: pixel video: missing 'frames'" in capsys.readouterr().err
+    assert not (tmp_path / "out.hc").exists()
+
+
+def test_evaluate_reports_references_that_are_not_train_samples(workspace, tmp_path, capsys):
+    _, data, _ = workspace
+    sample = load_sample(sorted(data.glob("sample_*.hc"))[0])
+    videos, refs = tmp_path / "videos", tmp_path / "refs"
+    videos.mkdir()
+    refs.mkdir()
+    sample.video.save(videos / "clip.hc")
+    sample.video.save(refs / "clip.hc")
+    capsys.readouterr()
+    rc = main(["evaluate", "--videos", str(videos), "--refs", str(refs),
+               "--report", str(tmp_path / "report.json")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: {refs / 'clip.hc'}: train sample: missing 'identities'")
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_sample_reports_an_audio_file_that_is_not_a_train_sample(workspace, tmp_path, capsys):
+    _, data, cfg_path = workspace
+    ckpt = _tiny_checkpoint(cfg_path, tmp_path / "run", "audio_custom", capsys)
+    sample = load_sample(sorted(data.glob("sample_*.hc"))[0])
+    img_path, video_path = tmp_path / "ident.hc", tmp_path / "video.hc"
+    sample.identity_images[0].save(img_path)
+    sample.video.save(video_path)
+    rc = main(["sample", "--ckpt", ckpt, "--prompt", sample.caption,
+               "--subject", f"name={sample.descriptors[0]},image={img_path}",
+               "--audio", str(video_path), "--frames", "5", "--steps", "2",
+               "--out", str(tmp_path / "out.hc")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: {video_path}: train sample: missing 'identities'")
+    assert not (tmp_path / "out.hc").exists()
+
+
+def test_sample_reports_a_condition_mask_file_without_a_mask(workspace, tmp_path, capsys):
+    _, data, cfg_path = workspace
+    ckpt = _tiny_checkpoint(cfg_path, tmp_path / "run", "video_custom", capsys)
+    sample = load_sample(sorted(data.glob("sample_*.hc"))[0])
+    img_path, cond_path, mask_path = (tmp_path / n for n in ("ident.hc", "cond.hc", "mask.hc"))
+    sample.identity_images[0].save(img_path)
+    sample.video.save(cond_path)
+    save_container(mask_path, {"masks": (1 - sample.masks).astype(np.uint8)})
+    rc = main(["sample", "--ckpt", ckpt, "--prompt", sample.caption,
+               "--subject", f"name={sample.descriptors[0]},image={img_path}",
+               "--condition-video", str(cond_path), "--condition-mask", str(mask_path),
+               "--frames", "5", "--steps", "2", "--out", str(tmp_path / "out.hc")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: {mask_path}: condition mask: missing 'mask'")
     assert not (tmp_path / "out.hc").exists()

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from hcustom.eval_metrics import (METRIC_COLUMNS, EvalRef, ToyIdentityProvider,
-                                  default_providers, dynamic_degree, evaluate,
+from hcustom.eval_metrics import (METRIC_COLUMNS, EvalRef, dynamic_degree, evaluate,
                                   id_consistency, masked_region_error,
                                   temporal_consistency)
 from hcustom.latent_codec import PixelVideo

@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from hcustom import autograd as ag
 from hcustom.audio_net import AudioInjectConfig
 from hcustom.backbone import BackboneConfig
-from hcustom.errors import NumericalFailureError
+from hcustom.container import load_container, save_container
+from hcustom.errors import ContainerError, NumericalFailureError
 from hcustom.flow_match import (NoiseSchedule, SamplerConfig, _step_rng, flow_loss_t,
                                 interpolate, sample_flow, train_flow)
 from hcustom.latent_codec import CodecConfig, LatentCodec, PixelVideo
@@ -19,7 +22,6 @@ TINY = ModelConfig(
     backbone=BackboneConfig(width=16, heads=2, blocks=1, latent_channels=8,
                             text_width=16),
     audio=AudioInjectConfig(lambda_a=1.0, width=8, heads=1),
-    audio_feature_width=32,
     align_hidden=8,
     seed=0,
 )
@@ -234,7 +236,7 @@ def test_checkpoint_roundtrip_and_version(tmp_path, setup):
     path = tmp_path / "ckpt.hc"
     save_checkpoint(path, model, codec, stats, step=5, extra_meta={"note": "t"})
     m2, c2, s2, step, meta = load_checkpoint(path)
-    assert step == 5 and meta["version"] == "hcustom-ckpt/1"
+    assert step == 5 and meta["version"] == "hcustom-ckpt/2"
     for k, v in model.store.state_dict().items():
         np.testing.assert_array_equal(v, m2.store.state_dict()[k])
     ps = prepared[0]
@@ -242,3 +244,15 @@ def test_checkpoint_roundtrip_and_version(tmp_path, setup):
     la = float(flow_loss_t(model, ps, 0.4, z0).data)
     lb = float(flow_loss_t(m2, ps, 0.4, z0).data)
     assert la == pytest.approx(lb, rel=1e-6)
+
+
+def test_checkpoint_of_the_first_version_is_refused(tmp_path, setup):
+    # version 1 files carry config fields that are constants now
+    codec, model, stats, _ = setup
+    path = tmp_path / "ckpt.hc"
+    save_checkpoint(path, model, codec, stats, step=1)
+    arrays, meta = load_container(path)
+    save_container(path, arrays, {**meta, "version": "hcustom-ckpt/1"})
+    with pytest.raises(ContainerError,
+                       match=re.escape(f"{path}: checkpoint version 'hcustom-ckpt/1'")):
+        load_checkpoint(path)

@@ -3,7 +3,8 @@ import pytest
 from scipy import ndimage
 
 from hcustom import autograd as ag
-from hcustom.errors import (ConfigMismatchError, DimensionMismatchError,
+from hcustom.container import load_container, save_container
+from hcustom.errors import (ConfigMismatchError, ContainerError, DimensionMismatchError,
                             NumericalFailureError)
 from hcustom.latent_codec import (CodecConfig, LatentCodec, LatentVideo,
                                   PixelVideo, latent_frame_count,
@@ -119,6 +120,12 @@ def test_codec_save_load_roundtrip(tmp_path, codec):
     loaded = LatentCodec.load(path)
     video = _video(5)
     np.testing.assert_array_equal(codec.encode(video).data, loaded.encode(video).data)
+    # a file of the first version, whose config still held the decoder width
+    arrays, meta = load_container(path)
+    save_container(path, arrays, {"version": "hcustom-codec/1",
+                                  "config": {**meta["config"], "decoder_width": 1.5}})
+    with pytest.raises(ContainerError, match="codec version 'hcustom-codec/1'"):
+        LatentCodec.load(path)
 
 
 def test_short_training_reduces_loss():

@@ -4,6 +4,7 @@ it rejects."""
 import numpy as np
 import pytest
 
+from hcustom.audio_net import AudioTrack
 from hcustom.backbone import BackboneConfig
 from hcustom.errors import ConfigError, DimensionMismatchError
 from hcustom.latent_codec import CodecConfig, LatentCodec, PixelVideo
@@ -73,3 +74,11 @@ def test_prepare_rejects_a_size_off_the_latent_grid(parts, size):
     assert codec.config.spatial_factor == 8
     with pytest.raises(ConfigError, match="size"):
         model.prepare(codec, stats, frames=5, size=size)
+
+
+def test_prepare_rejects_audio_features_of_another_width(parts):
+    model, codec, stats, sample = parts
+    audio = AudioTrack(np.zeros((sample.audio.frames, 4, 7), dtype=np.float32))
+    with pytest.raises(DimensionMismatchError, match="width 7"):
+        model.prepare(codec, stats, video=sample.video,
+                      identity_images=sample.identity_images, audio=audio)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hcustom import autograd as ag
-from hcustom.nn import Adam, ParamStore, fit
+from hcustom.nn import ADAM_BETAS, ADAM_EPS, Adam, ParamStore, fit
 
 TARGETS = np.arange(12.0).reshape(4, 3)
 
@@ -57,15 +57,16 @@ def test_adam_step_equals_the_unfused_formula_bitwise(clip_norm):
     grads = {n: local.normal(size=s).astype(np.float32) for n, s in shapes.items()}
     norm = float(np.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads.values())))
     scale = clip_norm / norm if clip_norm is not None and norm > clip_norm else 1.0
-    b1t, b2t = 1.0 - opt.b1 ** 4, 1.0 - opt.b2 ** 4
+    b1, b2 = ADAM_BETAS
+    b1t, b2t = 1.0 - b1 ** 4, 1.0 - b2 ** 4
     for name, p in store.items():
         opt._m[name][...] = local.normal(size=p.shape)
         opt._v[name][...] = local.random(size=p.shape)
         p.grad = grads[name].copy()
         g = grads[name] * scale if scale != 1.0 else grads[name]
-        m = opt._m[name] * opt.b1 + (1.0 - opt.b1) * g
-        v = opt._v[name] * opt.b2 + (1.0 - opt.b2) * (g * g)
-        want[name] = (p.data - opt.lr * (m / b1t) / (np.sqrt(v / b2t) + opt.eps), m, v)
+        m = opt._m[name] * b1 + (1.0 - b1) * g
+        v = opt._v[name] * b2 + (1.0 - b2) * (g * g)
+        want[name] = (p.data - opt.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS), m, v)
     assert opt.step() == norm
     assert (scale != 1.0) == (clip_norm is not None)
     for name, p in store.items():

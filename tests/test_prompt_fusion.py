@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -177,3 +179,58 @@ def test_fused_rows_keep_the_template_order(template):
     np.testing.assert_array_equal(text_only.data, emb.data[keep])
     assert text_provenance == [provenance[i] for i in keep]
     assert (text_counts == 1).all()
+
+
+def _crc32_twin(image: PixelVideo, slot: int, value: float, free: int) -> PixelVideo:
+    """A copy of `image` with `value` at float slot `slot` and the float at
+    `free` chosen so that both images share a CRC32, or None if that float
+    would not be a pixel value.  CRC32 is affine over GF(2), so the 32 bits
+    of the free slot are the solution of a 32x32 linear system."""
+    data = image.data.copy()
+    flat = data.reshape(-1)
+    words = flat.view(np.uint32)
+    target = zlib.crc32(image.data.tobytes())
+    flat[slot] = value
+
+    def crc(word):
+        words[free] = word
+        return zlib.crc32(data.tobytes())
+
+    offset = crc(0)
+    pivots = {}                       # highest bit -> (crc column, free-slot bits)
+    for i in range(32):
+        col, comb = crc(1 << i) ^ offset, 1 << i
+        for bit in reversed(range(32)):
+            if not col >> bit & 1:
+                continue
+            if bit not in pivots:
+                pivots[bit] = (col, comb)
+                break
+            col, comb = col ^ pivots[bit][0], comb ^ pivots[bit][1]
+    rhs, word = target ^ offset, 0
+    for bit in reversed(range(32)):
+        if rhs >> bit & 1:
+            rhs, word = rhs ^ pivots[bit][0], word ^ pivots[bit][1]
+    assert rhs == 0
+    words[free] = word
+    assert zlib.crc32(data.tobytes()) == target
+    return PixelVideo(data) if 0.0 <= flat[free] <= 1.0 else None
+
+
+def test_pool_cache_tells_apart_images_with_one_crc32():
+    # a forged CRC32 twin that differs in two pixels' values must still get
+    # its own distinct colours, not those of the image cached before it
+    image = flat_sprite(5, size=64)
+    twin = None
+    for k in range(1, 200):
+        twin = _crc32_twin(image, slot=3 * (64 * 30 + 2), value=k / 200, free=3 * 64 * 50)
+        if twin is not None:
+            break
+    assert twin is not None
+    assert not np.array_equal(twin.data, image.data)
+    enc = toy_encoder(0)
+    enc.encode_image_t(image)
+    rows, counts = enc.encode_image_t(twin)
+    want_rows, want_counts = toy_encoder(0).encode_image_t(twin)
+    np.testing.assert_array_equal(counts, want_counts)
+    np.testing.assert_array_equal(rows.data, want_rows.data)
