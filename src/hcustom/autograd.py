@@ -466,8 +466,10 @@ def attention(q, k, v, scale, counts=None):
     these multiplies runs.
 
     Either path computes the same output whether or not the call is taped.
-    The VJP never writes to g.
+    The VJP never writes to g.  `scale` is taken as a Python float, so that
+    a numpy float64 scale does not promote the float32 scores to float64.
     """
+    scale = float(scale)
     qd, kd, vd = q.data, k.data, np.ascontiguousarray(v.data)
     n, rows = qd.shape[:2]
     blocks = _row_blocks(rows, n * kd.shape[1])

@@ -47,3 +47,4 @@ class ConfigError(HCustomError, ValueError):
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
+        self.message = message

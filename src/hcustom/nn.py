@@ -3,6 +3,9 @@ loop, to which each trainer hands a per-item loss and a per-step generator."""
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
 import time
 
 import numpy as np
@@ -10,9 +13,24 @@ import numpy as np
 from .autograd import Tensor, mul
 from .errors import NumericalFailureError
 
+try:
+    import resource
+except ImportError:     # not on every platform; steps then report no page faults
+    resource = None
+
 DIVERGENCE_LIMIT = 1e3
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
+
+# glibc's mallopt parameters (malloc.h) and the values `fit` gives them.  32 MiB
+# is glibc's ceiling for its dynamic mmap threshold on 64-bit, and glibc's own
+# rule keeps the trim threshold at twice the mmap threshold.  Both are set:
+# setting either alone turns off glibc's dynamic thresholds, so that every
+# array over 128 KiB is mmapped and faulted in again.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = 2 * MMAP_THRESHOLD
 
 
 class ParamStore:
@@ -139,6 +157,25 @@ class Adam:
         return norm
 
 
+@functools.cache
+def _glibc_mallopt():
+    """glibc's `mallopt` through ctypes, or None under another C library."""
+    if ("CS_GNU_LIBC_VERSION" not in getattr(os, "confstr_names", {})
+            or not os.confstr("CS_GNU_LIBC_VERSION")):
+        return None
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+    return mallopt
+
+
+def _minor_faults() -> int | None:
+    if resource is None:
+        return None
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def fit(store: ParamStore, count: int, item_loss, step_rng, *, steps: int,
         batch_size: int, learning_rate: float, clip_norm: float | None,
         log=None) -> list[float]:
@@ -149,14 +186,31 @@ def fit(store: ParamStore, count: int, item_loss, step_rng, *, steps: int,
     item in draw order (`item_loss` takes its own draws from the same rng).
     A summed loss that is not finite or exceeds DIVERGENCE_LIMIT raises
     NumericalFailureError before the update.  `log` gets each step's loss,
-    wall time, gradient norm before clipping, and whether clipping applied.
+    wall time, step time (`step_s`), gradient norm before clipping, whether
+    clipping applied, and `page_faults`: the minor page faults of the
+    process during the step, or None where `resource` is missing.
+
+    Each step frees its whole tape after backward.  Before its first step,
+    `fit` sets glibc's mmap and trim thresholds (MMAP_THRESHOLD,
+    TRIM_THRESHOLD), so that glibc keeps that memory in the heap for the
+    next step instead of unmapping it and faulting it back in zero-filled.
+    The setting is process-wide, idempotent and never undone, and a no-op
+    under another C library; it changes which addresses the arrays get,
+    never the arithmetic.  It is made here and not at import because only
+    training churns: no-grad code frees as it goes, so a process that only
+    samples keeps glibc's defaults.
     """
     if count < 1:
         raise ValueError("dataset is empty")
+    mallopt = _glibc_mallopt()
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+        mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
     opt = Adam(store, lr=learning_rate, clip_norm=clip_norm)
     losses = []
     t_start = time.monotonic()
     for step in range(steps):
+        t_step, faults = time.monotonic(), _minor_faults()
         rng = step_rng(step)
         idx = rng.choice(count, size=min(batch_size, count), replace=False)
         store.zero_grad()
@@ -172,7 +226,9 @@ def fit(store: ParamStore, count: int, item_loss, step_rng, *, steps: int,
         grad_norm = opt.step()
         losses.append(total)
         if log is not None:
-            log(step=step, loss=total, wall_time=time.monotonic() - t_start,
+            now = time.monotonic()
+            log(step=step, loss=total, wall_time=now - t_start, step_s=now - t_step,
+                page_faults=None if faults is None else _minor_faults() - faults,
                 grad_norm=grad_norm,
                 clipped=clip_norm is not None and grad_norm > clip_norm)
     return losses

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 
 import numpy as np
@@ -54,6 +55,13 @@ DEFAULT_CONFIG = {
 }
 
 _TASK_SECTIONS = {"audio": "audio_custom", "video_inject": "video_custom"}
+
+# the numbers the trainers read: counts with their least value, and reals that
+# must be finite, with the bound they must exceed (None: any finite value)
+_COUNTS = {"codec.train_steps": 1, "codec.batch_size": 1, "train.steps": 1,
+           "train.batch_size": 1, "train.checkpoint_every": 0, "sample.steps": 1}
+_REALS = {"codec.learning_rate": 0.0, "train.learning_rate": 0.0,
+          "train.clip_norm": 0.0, "schedule.s": 0.0, "schedule.m": None}
 
 
 def merge_config(base: dict, override: dict) -> dict:
@@ -101,9 +109,31 @@ def _check_keys(config: dict, schema: dict, path: str = ""):
             _check_keys(value, schema[key], f"{dotted}.")
 
 
+def _get(cfg: dict, dotted: str):
+    for part in dotted.split("."):
+        cfg = cfg[part]
+    return cfg
+
+
+def _check_numbers(cfg: dict):
+    """Raise ConfigError naming the dotted key of a count or real of `cfg`
+    that has the wrong type or lies out of range (bools are not numbers)."""
+    for key, least in _COUNTS.items():
+        value = _get(cfg, key)
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise ConfigError(key, f"must be an integer >= {least}, got {value!r}")
+    for key, bound in _REALS.items():
+        value = _get(cfg, key)
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value) or (bound is not None and value <= bound)):
+            rule = "a finite number" + ("" if bound is None else f" > {bound:g}")
+            raise ConfigError(key, f"must be {rule}, got {value!r}")
+
+
 def validate_config(config: dict) -> dict:
     """Check every key against DEFAULT_CONFIG and fill in its defaults,
-    with the task's own section; returns the resolved dict."""
+    with the task's own section, then check the trainers' numbers; returns
+    the resolved dict."""
     _check_keys(config, DEFAULT_CONFIG)
     task = config.get("task", DEFAULT_CONFIG["task"])
     if task not in TASKS:
@@ -116,6 +146,7 @@ def validate_config(config: dict) -> dict:
     cfg = merge_config(schema, config)
     if cfg["template"] not in ("image_appended", "image_embedded"):
         raise ConfigError("template", f"unknown template {cfg['template']!r}")
+    _check_numbers(cfg)
     return cfg
 
 
@@ -123,33 +154,40 @@ def serialize_config(cfg: dict) -> str:
     return json.dumps(cfg, sort_keys=True, indent=1)
 
 
+def _build(cls, cfg: dict, keys: dict[str, str], **given):
+    """`cls(**given)` with each field of `keys` read from the dotted
+    run-config key it maps to; a ConfigError naming one of those fields is
+    raised again naming its key."""
+    try:
+        return cls(**{field: _get(cfg, key) for field, key in keys.items()}, **given)
+    except ConfigError as e:
+        if e.field not in keys:
+            raise
+        raise ConfigError(keys[e.field], e.message) from None
+
+
 def model_config_from(cfg: dict) -> ModelConfig:
     """The model of the validated config `cfg`.  A task without an audio or
     video_inject section builds those branches at their DEFAULT_CONFIG values."""
     cfg = {**DEFAULT_CONFIG, **cfg}
-    m, audio, vid, ab = cfg["model"], cfg["audio"], cfg["video_inject"], cfg["ablation"]
-    backbone = BackboneConfig(
-        width=m["width"], heads=m["heads"], blocks=m["blocks"],
-        latent_channels=cfg["codec"]["latent_channels"],
-        text_width=m["text_width"], mlp_ratio=m["mlp_ratio"])
-    return ModelConfig(
-        backbone=backbone,
-        audio=AudioInjectConfig(**audio),
-        align_hidden=vid["align_hidden"],
-        video_mode=vid["mode"],
-        identity_enhancement=ab["identity_enhancement"],
-        channel_concat=ab["channel_concat"],
-        fusion_images=ab["fusion_images"],
-        seed=cfg["seed"],
-    )
+    backbone = _build(BackboneConfig, cfg, {
+        "width": "model.width", "heads": "model.heads", "blocks": "model.blocks",
+        "text_width": "model.text_width", "mlp_ratio": "model.mlp_ratio",
+        "latent_channels": "codec.latent_channels"})
+    audio = _build(AudioInjectConfig, cfg, {
+        "lambda_a": "audio.lambda_a", "width": "audio.width", "heads": "audio.heads"})
+    return _build(ModelConfig, cfg, {
+        "align_hidden": "video_inject.align_hidden", "video_mode": "video_inject.mode",
+        "identity_enhancement": "ablation.identity_enhancement",
+        "channel_concat": "ablation.channel_concat",
+        "fusion_images": "ablation.fusion_images", "seed": "seed"},
+        backbone=backbone, audio=audio)
 
 
 def codec_config_from(cfg: dict) -> CodecConfig:
-    c = cfg["codec"]
-    return CodecConfig(spatial_factor=c["spatial_factor"],
-                       latent_channels=c["latent_channels"],
-                       hidden_channels=c["hidden_channels"],
-                       seed=cfg["seed"])
+    return _build(CodecConfig, cfg, {
+        "spatial_factor": "codec.spatial_factor", "latent_channels": "codec.latent_channels",
+        "hidden_channels": "codec.hidden_channels", "seed": "seed"})
 
 
 # ---------------------------------------------------------------------------

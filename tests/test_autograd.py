@@ -347,6 +347,23 @@ def test_attention_preserves_float32(monkeypatch):
         assert all(t.grad.dtype == np.float32 for t in ts)
 
 
+def test_attention_numpy_float_scale_equals_the_python_float_bitwise():
+    # under NumPy 2's promotion rules a float64 scalar would turn the scaled
+    # q, and so the scores, into float64
+    local = np.random.default_rng(15)
+    arrays = [local.normal(size=shape).astype(np.float32)
+              for shape in ((2, 6, 8), (2, 7, 8), (2, 7, 8))]
+    results = []
+    for scale in (1 / np.sqrt(8), float(1 / np.sqrt(8))):
+        ts = [ag.Tensor(a, requires_grad=True) for a in arrays]
+        out = ag.attention(*ts, scale)
+        ag.sum_(ag.mul(out, out)).backward()
+        results.append([out.data] + [t.grad for t in ts])
+    for got, want in zip(*results):
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, want)
+
+
 def _attention_errors(arrays, scale, dtype, seed):
     """Worst errors of `ag.attention` at `dtype` against the float64 reference,
     for the output and the three gradients, each relative to the largest

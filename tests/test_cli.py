@@ -61,7 +61,8 @@ def test_train_and_sample_cli(workspace, capsys):
     assert [r["step"] for r in steps["codec"]] == list(range(TINY_CFG["codec"]["train_steps"]))
     assert [r["step"] for r in steps["flow"]] == list(range(TINY_CFG["train"]["steps"]))
     assert {tuple(sorted(r)) for r in steps["codec"] + steps["flow"]} == {
-        ("clipped", "grad_norm", "loss", "stage", "step", "wall_time")}
+        ("clipped", "grad_norm", "loss", "page_faults", "stage", "step", "step_s",
+         "wall_time")}
     ckpt = out.splitlines()[-1]
     assert os.path.exists(ckpt)
     assert os.path.exists(root / "run" / "loss_curve.csv")
@@ -95,9 +96,15 @@ def test_train_and_sample_cli(workspace, capsys):
     assert not (root / "size20.hc").exists()
 
 
-@pytest.mark.parametrize("override", ["model.heads=3", "audio.lambda_a=-1",
-                                      "codec.spatial_factor=3",
-                                      "ablation.channel_concat=true"])
+@pytest.mark.parametrize("override", [
+    # values the config dataclasses check
+    "model.heads=3", "audio.lambda_a=-1", "codec.spatial_factor=3",
+    "ablation.channel_concat=true",
+    # the trainers' numbers: a wrong type, a bool for an int, or out of range
+    "codec.train_steps=0", "codec.batch_size=true", "train.steps=abc",
+    "train.batch_size=0", "sample.steps=2.5", "train.checkpoint_every=-1",
+    "codec.learning_rate=0", "train.learning_rate=NaN", "train.clip_norm=null",
+    "schedule.s=-1", "schedule.m=Infinity"])
 def test_bad_config_value_exits_2_before_codec_training(workspace, tmp_path, capsys,
                                                         override):
     _, _, cfg_path = workspace
@@ -108,8 +115,8 @@ def test_bad_config_value_exits_2_before_codec_training(workspace, tmp_path, cap
     assert main(args) == 2
     err = capsys.readouterr().err
     assert '"stage": "codec"' not in err
-    field = override.split(".")[1].split("=")[0]
-    assert f"config error: {field}:" in err
+    key = override.split("=")[0]
+    assert f"config error: {key}:" in err
 
 
 @pytest.mark.parametrize("override,key", [

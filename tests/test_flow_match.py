@@ -166,7 +166,8 @@ def test_training_events_report_gradient_norm_and_clipping(setup):
     assert events[1]["grad_norm"] == pytest.approx(_grad_norm_at(replay, prepared, 1, 3),
                                                    rel=1e-12)
     for e in events:
-        assert set(e) == {"step", "loss", "wall_time", "grad_norm", "clipped"}
+        assert set(e) == {"step", "loss", "wall_time", "step_s", "page_faults",
+                          "grad_norm", "clipped"}
         assert e["clipped"] == (e["grad_norm"] > 1.0)
 
     # the first step's norm does not depend on the threshold

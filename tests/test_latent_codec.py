@@ -163,7 +163,8 @@ def test_training_logs_every_step():
     assert [e["step"] for e in events] == [0, 1, 2]
     assert [e["loss"] for e in events] == losses
     for e in events:
-        assert set(e) == {"step", "loss", "wall_time", "grad_norm", "clipped"}
+        assert set(e) == {"step", "loss", "wall_time", "step_s", "page_faults",
+                          "grad_norm", "clipped"}
         assert e["clipped"] == (e["grad_norm"] > 1.0)
 
 

@@ -1,9 +1,14 @@
-"""The shared training loop `nn.fit`, on a toy quadratic."""
+"""The shared training loop `nn.fit`, on a toy quadratic, and the allocator
+setting it makes for the codec's training steps."""
+
+import statistics
 
 import numpy as np
 import pytest
 
 from hcustom import autograd as ag
+from hcustom import nn
+from hcustom.latent_codec import CodecConfig, LatentCodec, PixelVideo, train_codec
 from hcustom.nn import ADAM_BETAS, ADAM_EPS, Adam, ParamStore, fit
 
 TARGETS = np.arange(12.0).reshape(4, 3)
@@ -76,3 +81,43 @@ def test_adam_step_equals_the_unfused_formula_bitwise(clip_norm):
         np.testing.assert_array_equal(opt._m[name], m)
         np.testing.assert_array_equal(opt._v[name], v)
         np.testing.assert_array_equal(p.grad, grads[name])   # the gradient is not scaled in place
+
+
+def test_fit_events_carry_step_time_and_page_faults():
+    store = ParamStore(dtype=np.float64)
+    store.parameter("w", np.zeros(3))
+    events = []
+    fit(store, 4, _quadratic(store, []), np.random.default_rng, steps=3, batch_size=2,
+        learning_rate=0.1, clip_norm=None, log=lambda **kw: events.append(kw))
+    assert [e["step"] for e in events] == [0, 1, 2]
+    for e in events:
+        assert set(e) == {"step", "loss", "wall_time", "step_s", "page_faults",
+                          "grad_norm", "clipped"}
+        assert 0.0 < e["step_s"] <= e["wall_time"]
+        assert isinstance(e["page_faults"], int) and e["page_faults"] >= 0
+
+
+def _codec_fit(steps, log=None):
+    """The benchmark's codec step: 64x64 clips, one 5-frame window per step."""
+    rng = np.random.default_rng(4)
+    videos = [PixelVideo(rng.random((9, 64, 64, 3))) for _ in range(2)]
+    codec = LatentCodec(CodecConfig(seed=2))
+    return train_codec(codec, videos, steps=steps, batch_size=1, learning_rate=2e-3,
+                       seed=7, log=log)
+
+
+@pytest.mark.skipif(nn._glibc_mallopt() is None, reason="the thresholds are glibc's")
+def test_codec_steps_reuse_the_memory_the_previous_step_freed():
+    # without the thresholds every step faults in about 1,900 fresh pages:
+    # glibc unmaps the tape's large arrays when they are freed
+    events = []
+    _codec_fit(15, log=lambda **kw: events.append(kw))
+    faults = [e["page_faults"] for e in events[5:]]
+    assert statistics.median(faults) < 100, faults
+
+
+def test_fit_without_mallopt_trains_to_the_same_losses(monkeypatch):
+    want = _codec_fit(4)
+    monkeypatch.setattr(nn, "_glibc_mallopt", lambda: None)
+    got = _codec_fit(4)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
