@@ -63,8 +63,9 @@ model.store["backbone.out.w"].data = rng.normal(size=(32, 8)).astype(np.float32)
 z = ag.Tensor(rng.normal(size=ps.z1.shape).astype(np.float32))
 with ag.no_grad():
     v_cond, v_plain = model.velocity_t(ps, z, 0.5).data, model.velocity_t(plain, z, 0.5).data
-    print("tokens with / without the condition:", v_cond.shape[0], "/", v_plain.shape[0],
-          f"({ps.n_identity_tokens} identity + {ps.n_video_tokens} video)")
+    print("velocity rows with / without the condition:", v_cond.shape[0], "/",
+          v_plain.shape[0], f"(the {ps.n_video_tokens} video rows of a sequence that "
+          f"also holds {ps.n_identity_tokens} identity rows)")
     print("fresh alignment net (zero output layer) changes no velocity bit:",
           bool((v_cond == v_plain).all()))
     model.store["align.l3.w"].data = rng.normal(size=(16, 8)).astype(np.float32)

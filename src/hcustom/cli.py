@@ -161,6 +161,8 @@ def cmd_inspect_positions(args) -> int:
         w, h, f = (int(x) for x in args.latent.lower().split("x"))
     except ValueError:
         raise ConfigError("--latent", f"expected WxHxF, got {args.latent!r}")
+    if min(w, h, f) < 1:
+        raise ConfigError("--latent", f"every size must be >= 1, got {args.latent!r}")
     if args.subjects < 0:
         raise ConfigError("--subjects", f"must be >= 0, got {args.subjects}")
     print(f"{'segment':<12} {'t':>4} {'x':>4} {'y':>4}")

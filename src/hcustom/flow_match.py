@@ -2,10 +2,10 @@
 
 Convention fixed project-wide: t = 0 is pure noise, t = 1 is data, so the
 linear path z_t = (1-t) z_0 + t z_1 has constant velocity u = z_1 - z_0
-pointing toward the data.  Only video tokens are noised and only video
-tokens enter the loss; identity tokens stay clean during training and are
-held fixed by the sampler.  Training runs through `nn.fit`: this module
-supplies the per-item loss and the per-step Philox generator.
+pointing toward the data.  Only video tokens are noised, and the model's
+velocity holds only their rows; identity tokens stay clean during training
+and are held fixed by the sampler.  Training runs through `nn.fit`: this
+module supplies the per-item loss and the per-step Philox generator.
 """
 
 from __future__ import annotations
@@ -63,9 +63,7 @@ def flow_loss_t(model: CustomVideoModel, ps: PreparedSample, t: float,
         raise ValueError("prepared sample has no clean latent; not a training sample")
     zt, u = interpolate(z0, ps.z1, t)
     v = model.velocity_t(ps, ag.Tensor(zt.astype(model.store.dtype)), t)
-    n_id = v.shape[0] - ps.n_video_tokens
-    v_video = ag.split(v, [np.s_[n_id:]])[0] if n_id else v
-    diff = ag.add(v_video, -u.astype(model.store.dtype))
+    diff = ag.add(v, -u.astype(model.store.dtype))
     return ag.mean_(ag.mul(diff, diff))
 
 
@@ -110,8 +108,5 @@ def sample_flow(model: CustomVideoModel, ps: PreparedSample,
     with ag.no_grad():
         for k in range(sampler.steps):
             t = k / sampler.steps
-            v = model.velocity_t(ps, ag.Tensor(z), t)
-            n_id = v.shape[0] - ps.n_video_tokens
-            v_video = v.data[n_id:] if n_id else v.data
-            z = z + dt * v_video
+            z = z + dt * model.velocity_t(ps, ag.Tensor(z), t).data
     return z

@@ -33,13 +33,13 @@ loss and the per-step PCG64 generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autograd as ag
 from .container import load_container, reading, save_container
-from .errors import ConfigError, ConfigMismatchError, ContainerError, DimensionMismatchError
+from .errors import ConfigError, ConfigMismatchError, DimensionMismatchError
 from .nn import ParamStore, conv_init, fit, normal_init
 
 TEMPORAL_STRIDE = 4
@@ -48,7 +48,6 @@ TRAIN_WINDOW = 1 + TEMPORAL_STRIDE  # a first frame plus one full group
 FOCUS_DILATION = 3          # pixels the codec's focus masks grow by
 FOCUS_WEIGHT = 3.0          # extra weight of the error inside a focus mask
 DECODER_WIDTH = 1.5         # decoder stage widths relative to the encoder mirror
-CODEC_VERSION = "hcustom-codec/2"
 
 
 @dataclass
@@ -278,23 +277,6 @@ class LatentCodec:
         with ag.no_grad():
             x = self.decode_t(ag.Tensor(latent.data.astype(self.store.dtype)))
         return PixelVideo(np.clip(x.data, 0.0, 1.0))
-
-    def save(self, path):
-        save_container(path, self.store.state_dict(),
-                       meta={"version": CODEC_VERSION, "config": asdict(self.config)})
-
-    @classmethod
-    def load(cls, path) -> "LatentCodec":
-        arrays, meta = load_container(path)
-        if meta.get("version") != CODEC_VERSION:
-            raise ContainerError(f"{path}: codec version {meta.get('version')!r}, "
-                                 f"this program reads {CODEC_VERSION!r}")
-        with reading(path, "codec config"):
-            config = CodecConfig(**meta["config"])
-        codec = cls(config)
-        with reading(path, "codec arrays"):
-            codec.store.load_state_dict(arrays)
-        return codec
 
 
 def _space_to_depth(x: ag.Tensor, s: int) -> ag.Tensor:

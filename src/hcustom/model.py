@@ -9,8 +9,9 @@ flag), condition-video features are added to the video tokens after the
 backbone's input projection (add mode) or stacked onto the latents and
 compressed back to latent width (concat mode), audio is
 cross-attended per frame, and the fused prompt feeds cross-attention inside
-every block.  `prepare` and `assemble_tokens_t` own the sequence layout:
-subjects 1..m in order, then the video, at `rope3d.sequence_positions`.
+every block.  `prepare` owns the sequence layout: subjects 1..m in order,
+then the video, at `rope3d.sequence_positions`; `velocity_t` returns the
+velocity of the video rows only.
 """
 
 from __future__ import annotations
@@ -86,7 +87,9 @@ class PreparedSample:
 
     @property
     def n_identity_tokens(self) -> int:
-        return self.n_subjects * self.wh
+        """Identity rows of the assembled sequence: those `prepare` gave
+        positions to (none without identity enhancement)."""
+        return self.rope_cos.shape[0] - self.n_video_tokens
 
     @property
     def n_video_tokens(self) -> int:
@@ -142,22 +145,22 @@ class CustomVideoModel:
 
     # -- conditioned forward --------------------------------------------------
 
-    def assemble_tokens_t(self, ps: PreparedSample, z_video: ag.Tensor) -> tuple[ag.Tensor, int]:
-        """Build the latent-space token sequence; returns (tokens, n identity tokens)."""
-        cfg = self.config
-        if cfg.channel_concat:
+    def assemble_tokens_t(self, ps: PreparedSample, z_video: ag.Tensor) -> ag.Tensor:
+        """Build the latent-space token sequence: `ps.n_identity_tokens`
+        identity rows, then the video rows (under channel concat, the video
+        rows with the identity latent stacked on their channels)."""
+        if self.config.channel_concat:
             if ps.n_subjects != 1:
                 raise DimensionMismatchError("channel concat supports exactly one subject")
             ident = np.tile(ps.id_tokens, (ps.frames, 1))
-            return ag.concat([z_video, ag.Tensor(ident.astype(z_video.data.dtype))],
-                             axis=1), 0
-        if cfg.identity_enhancement and ps.n_subjects:
+            return ag.concat([z_video, ag.Tensor(ident.astype(z_video.data.dtype))], axis=1)
+        if ps.n_identity_tokens:
             ident = ag.Tensor(ps.id_tokens.astype(z_video.data.dtype))
-            return ag.concat([ident, z_video], axis=0), ps.n_identity_tokens
-        return z_video, 0
+            return ag.concat([ident, z_video], axis=0)
+        return z_video
 
     def velocity_t(self, ps: PreparedSample, z_video: ag.Tensor, t: float) -> ag.Tensor:
-        """Predict per-token velocity; output rows match the assembled sequence."""
+        """Predict the velocity of the video rows, [n_video_tokens, c]."""
         cfg = self.config
         dtype = z_video.data.dtype
         video_cond = None
@@ -167,7 +170,8 @@ class CustomVideoModel:
                 z_video = self.compressor.forward_t(z_video, aligned)
             else:
                 video_cond = ag.matmul(aligned, self.store["vidin.w"])
-        tokens, n_id = self.assemble_tokens_t(ps, z_video)
+        tokens = self.assemble_tokens_t(ps, z_video)
+        n_id = ps.n_identity_tokens
         if video_cond is not None and n_id:
             zeros = np.zeros((n_id, video_cond.shape[1]), dtype=dtype)
             video_cond = ag.concat([ag.Tensor(zeros), video_cond], axis=0)
@@ -177,8 +181,9 @@ class CustomVideoModel:
         prompt, _, counts = fuse_t(ps.spec, self.encoder, include_images=cfg.fusion_images)
         if not len(counts):
             prompt = counts = None
-        return self.backbone.forward_t(tokens, ps.rope_cos, ps.rope_sin, prompt, counts, t,
-                                       video_cond=video_cond)
+        v = self.backbone.forward_t(tokens, ps.rope_cos, ps.rope_sin, prompt, counts, t,
+                                    video_cond=video_cond)
+        return ag.split(v, [np.s_[n_id:]])[0] if n_id else v
 
     # -- sample preparation ----------------------------------------------------
 

@@ -56,10 +56,16 @@ DEFAULT_CONFIG = {
 
 _TASK_SECTIONS = {"audio": "audio_custom", "video_inject": "video_custom"}
 
-# the numbers the trainers read: counts with their least value, and reals that
-# must be finite, with the bound they must exceed (None: any finite value)
-_COUNTS = {"codec.train_steps": 1, "codec.batch_size": 1, "train.steps": 1,
-           "train.batch_size": 1, "train.checkpoint_every": 0, "sample.steps": 1}
+# the numbers the model, codec and trainers read: counts with their least value
+# (or null, for _NULLABLE), skipped when their task section is absent, and reals
+# that must be finite, with the bound they must exceed (None: any finite value)
+_COUNTS = {"codec.spatial_factor": 1, "codec.latent_channels": 1,
+           "codec.hidden_channels": 1, "codec.train_steps": 1, "codec.batch_size": 1,
+           "model.width": 1, "model.heads": 1, "model.blocks": 1, "model.text_width": 1,
+           "model.mlp_ratio": 1, "train.steps": 1, "train.batch_size": 1,
+           "train.checkpoint_every": 0, "sample.steps": 1, "audio.width": 1,
+           "audio.heads": 1, "video_inject.align_hidden": 1}
+_NULLABLE = {"video_inject.align_hidden"}
 _REALS = {"codec.learning_rate": 0.0, "train.learning_rate": 0.0,
           "train.clip_norm": 0.0, "schedule.s": 0.0, "schedule.m": None}
 
@@ -119,7 +125,11 @@ def _check_numbers(cfg: dict):
     """Raise ConfigError naming the dotted key of a count or real of `cfg`
     that has the wrong type or lies out of range (bools are not numbers)."""
     for key, least in _COUNTS.items():
+        if key.split(".")[0] not in cfg:
+            continue
         value = _get(cfg, key)
+        if value is None and key in _NULLABLE:
+            continue
         if isinstance(value, bool) or not isinstance(value, int) or value < least:
             raise ConfigError(key, f"must be an integer >= {least}, got {value!r}")
     for key, bound in _REALS.items():
@@ -268,11 +278,10 @@ def run_training(cfg: dict, log=None, codec: LatentCodec | None = None) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     samples = load_dataset(cfg["dataset"])
     c = cfg["codec"]
-    codec_losses = []
     if codec is None:
         codec = LatentCodec(codec_config)
         codec_videos, codec_masks = codec_training_set(samples)
-        codec_losses = train_codec(
+        train_codec(
             codec, codec_videos, steps=c["train_steps"], batch_size=c["batch_size"],
             learning_rate=c["learning_rate"], seed=cfg["seed"],
             focus_masks=codec_masks,
@@ -310,8 +319,7 @@ def run_training(cfg: dict, log=None, codec: LatentCodec | None = None) -> dict:
     with open(os.path.join(out_dir, "config.json"), "w") as f:
         f.write(serialize_config(cfg))
     return {"checkpoint": ckpt_path, "loss_curve": curve_path,
-            "losses": losses, "codec_losses": codec_losses,
-            "model": model, "codec": codec, "stats": stats,
+            "losses": losses, "model": model, "codec": codec, "stats": stats,
             "prepared": prepared, "samples": samples, "config": cfg}
 
 

@@ -3,10 +3,9 @@
 Each sample is a textured-background video of one or more colored sprites
 following a seeded random walk, with a sinusoidal audio envelope that
 modulates sprite scale frame-for-frame, a caption built from descriptor
-words, per-frame masks that exactly match the renderer's own alpha, and an
-annotation record carrying boxes and quality scores.  Identity is fully
-parameterized (shape, hue, texture, size), so identity preservation is
-machine-checkable downstream.
+words, and per-frame masks (the union over subjects) that exactly match the
+renderer's own alpha.  Identity is fully parameterized (shape, hue,
+texture, size), so identity preservation is machine-checkable downstream.
 
 The second half of the module implements the dataset-pipeline procedures
 that operate on annotation records: main-subject selection by union-find
@@ -19,7 +18,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -32,8 +31,6 @@ SHAPES = ("circle", "square", "triangle", "star")
 TEXTURES = ("flat", "striped", "ringed")
 HUE_NAMES = ("red", "orange", "amber", "yellow", "lime", "green",
              "teal", "cyan", "blue", "violet", "purple", "magenta")
-CATEGORIES = ("humans", "animals", "plants", "landscapes", "vehicles",
-              "objects", "architecture", "anime")
 N_HUE_BINS = len(HUE_NAMES)
 _AUDIO_BASIS = np.random.default_rng(918273).normal(
     0.0, 1.0, size=(4, AUDIO_FEATURE_WIDTH)).astype(np.float32)
@@ -45,7 +42,6 @@ class SpriteIdentity:
     hue_bin: int = 0
     texture: str = "flat"
     size: int = 24
-    category: str = "objects"
 
     def __post_init__(self):
         if self.shape not in SHAPES:
@@ -112,14 +108,12 @@ class BBox:
 
 @dataclass
 class AnnotationRecord:
+    """What the pipeline procedures read of one clip's annotations."""
+
     clip_id: str
     frame_subjects: list[dict]            # per frame: {subject_id: [x0,y0,x1,y1]}
-    face_boxes: dict = field(default_factory=dict)   # subject_id -> [x0,y0,x1,y1]
     scores: dict = field(default_factory=dict)       # koala / sync / iqa (optional)
-    caption: str = ""
-    descriptors: list[str] = field(default_factory=list)
     id_merges: list[tuple[int, int]] = field(default_factory=list)
-    split_point: int | None = None
 
 
 @dataclass
@@ -129,12 +123,13 @@ class TrainSample:
     identity_images: list[PixelVideo]
     audio: AudioTrack
     masks: np.ndarray                      # [f', H, W] uint8, union of subjects
-    subject_masks: list[np.ndarray]        # per subject [f', H, W]
     caption: str
-    descriptors: list[str]
-    annotation: AnnotationRecord
     seed: int
     scene: SceneParams
+
+    @property
+    def descriptors(self) -> list[str]:
+        return [i.descriptor for i in self.identities]
 
 
 # ---------------------------------------------------------------------------
@@ -258,53 +253,25 @@ def generate_sample(identity, scene: SceneParams = SceneParams(),
     size, frames = scene.size, scene.frames
     video = _background(rng, frames, size)
     env, freq, phase = _audio_envelope(rng, frames, scene.fps)
-    subject_masks = [np.zeros((frames, size, size), dtype=np.uint8)
-                     for _ in identities]
-    frame_subjects = [dict() for _ in range(frames)]
+    masks = np.zeros((frames, size, size), dtype=np.uint8)
     margin = max(i.size for i in identities) * 0.75
-    for s_idx, ident in enumerate(identities):
+    for ident in identities:
         pos = rng.uniform(margin, size - margin, size=2)
         for k in range(frames):
             scale = 1.0 + scene.audio_depth * (env[k] - 0.5) * 2.0
             radius = ident.size / 2.0 * scale
             video[k], mask = _composite_sprite(video[k], ident, tuple(pos), radius)
-            subject_masks[s_idx][k] = mask
-            if mask.any():
-                ys, xs = np.nonzero(mask)
-                frame_subjects[k][s_idx] = [int(xs.min()), int(ys.min()),
-                                            int(xs.max()) + 1, int(ys.max()) + 1]
+            masks[k] |= mask
             pos = np.clip(pos + rng.normal(0, scene.walk_step, size=2),
                           margin, size - margin)
-    union_mask = np.clip(sum(m.astype(np.int64) for m in subject_masks), 0, 1)
-    caption = _caption(identities, scene)
-    face_boxes = {}
-    for s_idx, ident in enumerate(identities):
-        if ident.category == "humans" and frame_subjects[0].get(s_idx):
-            x0, y0, x1, y1 = frame_subjects[0][s_idx]
-            face_boxes[s_idx] = [x0 + (x1 - x0) // 4, y0,
-                                 x1 - (x1 - x0) // 4, y0 + max((y1 - y0) // 3, 1)]
-    record = AnnotationRecord(
-        clip_id=f"clip{seed:06d}",
-        frame_subjects=frame_subjects,
-        face_boxes=face_boxes,
-        scores={"koala": round(float(rng.uniform(0.06, 0.2)), 4),
-                "sync": round(float(rng.uniform(3.0, 9.0)), 3),
-                "iqa": round(float(rng.uniform(40.0, 90.0)), 2)},
-        caption=caption,
-        descriptors=[i.descriptor for i in identities],
-        split_point=frames,
-    )
     return TrainSample(
         video=PixelVideo(video.astype(np.float32), fps=scene.fps),
         identities=identities,
         identity_images=[PixelVideo(render_identity_frame(i, size)[None],
                                     fps=scene.fps) for i in identities],
         audio=audio_features_from_envelope(env, freq, phase, scene.fps),
-        masks=union_mask.astype(np.uint8),
-        subject_masks=subject_masks,
-        caption=caption,
-        descriptors=[i.descriptor for i in identities],
-        annotation=record,
+        masks=masks,
+        caption=_caption(identities, scene),
         seed=seed,
         scene=scene,
     )
@@ -322,15 +289,11 @@ def save_sample(sample: TrainSample, path):
     }
     for i, img in enumerate(sample.identity_images):
         arrays[f"identity_image_{i}"] = img.data
-    for i, m in enumerate(sample.subject_masks):
-        arrays[f"subject_mask_{i}"] = m
     meta = {
         "kind": "train_sample",
         "fps": sample.scene.fps,
         "caption": sample.caption,
-        "descriptors": sample.descriptors,
         "identities": [asdict(i) for i in sample.identities],
-        "annotation": asdict(sample.annotation),
         "seed": sample.seed,
         "scene": asdict(sample.scene),
     }
@@ -338,15 +301,13 @@ def save_sample(sample: TrainSample, path):
 
 
 def load_sample(path) -> TrainSample:
+    """Read a `save_sample` file.  What older files also held (per-subject
+    masks, descriptors, an identity category, an annotation record) is ignored."""
     arrays, meta = load_container(path)
     with reading(path, "train sample"):
-        identities = [SpriteIdentity(**d) for d in meta["identities"]]
-        ann = dict(meta["annotation"])
-        ann["frame_subjects"] = [{int(k): v for k, v in fr.items()}
-                                 for fr in ann["frame_subjects"]]
-        ann["face_boxes"] = {int(k): v for k, v in ann["face_boxes"].items()}
-        ann["id_merges"] = [tuple(m) for m in ann["id_merges"]]
-        scene = SceneParams(**meta["scene"])
+        names = [f.name for f in fields(SpriteIdentity)]
+        identities = [SpriteIdentity(**{k: d[k] for k in names})
+                      for d in meta["identities"]]
         return TrainSample(
             video=PixelVideo(arrays["video"], fps=meta["fps"]),
             identities=identities,
@@ -354,12 +315,9 @@ def load_sample(path) -> TrainSample:
                              for i in range(len(identities))],
             audio=AudioTrack(arrays["audio"]),
             masks=arrays["masks"],
-            subject_masks=[arrays[f"subject_mask_{i}"] for i in range(len(identities))],
             caption=meta["caption"],
-            descriptors=list(meta["descriptors"]),
-            annotation=AnnotationRecord(**ann),
             seed=meta["seed"],
-            scene=scene,
+            scene=SceneParams(**meta["scene"]),
         )
 
 

@@ -104,7 +104,12 @@ def test_train_and_sample_cli(workspace, capsys):
     "codec.train_steps=0", "codec.batch_size=true", "train.steps=abc",
     "train.batch_size=0", "sample.steps=2.5", "train.checkpoint_every=-1",
     "codec.learning_rate=0", "train.learning_rate=NaN", "train.clip_norm=null",
-    "schedule.s=-1", "schedule.m=Infinity"])
+    "schedule.s=-1", "schedule.m=Infinity",
+    # the model's and the codec's sizes
+    "model.heads=abc", "model.width=-16", "model.blocks=0", "model.text_width=0",
+    "model.mlp_ratio=0", "codec.spatial_factor=abc", "codec.latent_channels=0",
+    "codec.hidden_channels=0", "audio.width=0", "audio.heads=true",
+    "video_inject.align_hidden=0"])
 def test_bad_config_value_exits_2_before_codec_training(workspace, tmp_path, capsys,
                                                         override):
     _, _, cfg_path = workspace
@@ -112,6 +117,8 @@ def test_bad_config_value_exits_2_before_codec_training(workspace, tmp_path, cap
             "--set", f"out_dir={tmp_path}"]
     if override.startswith("audio."):
         args += ["--set", "task=audio_custom"]
+    if override.startswith("video_inject."):
+        args += ["--set", "task=video_custom"]
     assert main(args) == 2
     err = capsys.readouterr().err
     assert '"stage": "codec"' not in err
@@ -211,11 +218,15 @@ def test_inspect_positions_output(capsys):
     assert ident[0][2:] == ["4", "4"]  # shifted spatial coordinates
 
 
-def test_inspect_positions_rejects_a_negative_subject_count(capsys):
-    rc = main(["inspect-positions", "--subjects", "-2", "--latent", "2x2x1"])
+@pytest.mark.parametrize("subjects,latent,flag", [
+    ("-2", "2x2x1", "--subjects"), ("1", "0x4x4", "--latent"),
+    ("1", "-2x4x4", "--latent"), ("1", "4x4x-1", "--latent")],
+    ids=["subjects=-2", "latent=0x4x4", "latent=-2x4x4", "latent=4x4x-1"])
+def test_inspect_positions_rejects_a_negative_subject_count(capsys, subjects, latent, flag):
+    rc = main(["inspect-positions", f"--subjects={subjects}", f"--latent={latent}"])
     assert rc == 2
     captured = capsys.readouterr()
-    assert "--subjects" in captured.err and captured.out == ""
+    assert f"config error: {flag}:" in captured.err and captured.out == ""
 
 
 def test_unknown_flag_exits_2(workspace):

@@ -3,8 +3,7 @@ import pytest
 from scipy import ndimage
 
 from hcustom import autograd as ag
-from hcustom.container import load_container, save_container
-from hcustom.errors import (ConfigMismatchError, ContainerError, DimensionMismatchError,
+from hcustom.errors import (ConfigMismatchError, DimensionMismatchError,
                             NumericalFailureError)
 from hcustom.latent_codec import (CodecConfig, LatentCodec, LatentVideo,
                                   PixelVideo, latent_frame_count,
@@ -112,20 +111,6 @@ def test_group_indices_partial_groups():
     assert idx.tolist() == [[1, 2, 3, 3]]
     idx = LatentCodec.group_frame_indices(9)
     assert idx.tolist() == [[1, 2, 3, 4], [5, 6, 7, 8]]
-
-
-def test_codec_save_load_roundtrip(tmp_path, codec):
-    path = tmp_path / "codec.hc"
-    codec.save(path)
-    loaded = LatentCodec.load(path)
-    video = _video(5)
-    np.testing.assert_array_equal(codec.encode(video).data, loaded.encode(video).data)
-    # a file of the first version, whose config still held the decoder width
-    arrays, meta = load_container(path)
-    save_container(path, arrays, {"version": "hcustom-codec/1",
-                                  "config": {**meta["config"], "decoder_width": 1.5}})
-    with pytest.raises(ContainerError, match="codec version 'hcustom-codec/1'"):
-        LatentCodec.load(path)
 
 
 def test_short_training_reduces_loss():

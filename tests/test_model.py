@@ -1,9 +1,12 @@
 """CustomVideoModel.prepare: the sequence layout it caches and the inputs
 it rejects."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from hcustom import autograd as ag
 from hcustom.audio_net import AudioTrack
 from hcustom.backbone import BackboneConfig
 from hcustom.errors import ConfigError, DimensionMismatchError
@@ -34,6 +37,21 @@ def test_prepare_rotates_at_sequence_positions(parts):
                                model.config.backbone.rope(), dtype=model.store.dtype)
     np.testing.assert_array_equal(ps.rope_cos, cos)
     np.testing.assert_array_equal(ps.rope_sin, sin)
+
+
+@pytest.mark.parametrize("ablation,subject_rows", [
+    ({}, 1), ({"identity_enhancement": False}, 0),
+    ({"identity_enhancement": False, "channel_concat": True}, 0)],
+    ids=["identity_enhancement", "no_identity_enhancement", "channel_concat"])
+def test_identity_rows_and_a_velocity_of_the_video_rows(parts, ablation, subject_rows):
+    model, codec, stats, sample = parts
+    model = CustomVideoModel(dataclasses.replace(model.config, **ablation))
+    ps = model.prepare(codec, stats, video=sample.video,
+                       identity_images=sample.identity_images)
+    assert ps.n_identity_tokens == subject_rows * ps.wh
+    with ag.no_grad():
+        v = model.velocity_t(ps, ag.Tensor(ps.z1), 0.5)
+    assert v.shape == (ps.n_video_tokens, model.config.backbone.latent_channels)
 
 
 def test_prepare_rejects_identity_image_on_another_grid(parts):

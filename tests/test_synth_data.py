@@ -1,6 +1,9 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+from hcustom.container import load_container, save_container
 from hcustom.errors import InfeasibleCropError
 from hcustom.latent_codec import PixelVideo
 from hcustom.synth_data import (AnnotationRecord, BBox, SceneParams,
@@ -56,7 +59,38 @@ def test_sample_roundtrip(tmp_path):
     np.testing.assert_array_equal(loaded.masks, s.masks)
     assert loaded.caption == s.caption
     assert loaded.identities == s.identities
-    assert loaded.annotation == s.annotation
+
+
+def test_a_sample_file_holds_video_audio_masks_and_identity_images(tmp_path):
+    s = generate_sample([IDENT, SpriteIdentity(shape="star", hue_bin=7)], SCENE, seed=4)
+    save_sample(s, tmp_path / "sample.hc")
+    arrays, _ = load_container(tmp_path / "sample.hc")
+    assert sorted(arrays) == ["audio", "identity_image_0", "identity_image_1", "masks",
+                              "video"]
+
+
+def test_a_sample_file_of_the_older_format_loads(tmp_path):
+    # older files also held per-subject masks, descriptors, an identity
+    # category and an annotation record; the reader ignores them
+    s = generate_sample([IDENT, SpriteIdentity(shape="star", hue_bin=7)], SCENE, seed=4)
+    arrays = {"video": s.video.data, "audio": s.audio.data, "masks": s.masks,
+              "identity_image_0": s.identity_images[0].data,
+              "identity_image_1": s.identity_images[1].data,
+              "subject_mask_0": s.masks, "subject_mask_1": s.masks}
+    annotation = {"clip_id": "clip000004", "frame_subjects": [{"0": [1, 2, 9, 9]}],
+                  "face_boxes": {"0": [3, 2, 7, 4]}, "scores": {"koala": 0.1},
+                  "caption": s.caption, "descriptors": s.descriptors, "id_merges": [],
+                  "split_point": SCENE.frames}
+    meta = {"kind": "train_sample", "fps": SCENE.fps, "caption": s.caption,
+            "descriptors": s.descriptors,
+            "identities": [dict(asdict(i), category="objects") for i in s.identities],
+            "annotation": annotation, "seed": 4, "scene": asdict(SCENE)}
+    save_container(tmp_path / "old.hc", arrays, meta=meta)
+    loaded = load_sample(tmp_path / "old.hc")
+    np.testing.assert_array_equal(loaded.video.data, s.video.data)
+    np.testing.assert_array_equal(loaded.masks, s.masks)
+    assert loaded.identities == s.identities and loaded.caption == s.caption
+    assert [i.data.shape for i in loaded.identity_images] == [(1, 64, 64, 3)] * 2
 
 
 def test_generate_dataset_manifest(tmp_path):
