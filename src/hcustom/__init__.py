@@ -15,9 +15,9 @@ from .latent_codec import (CodecConfig, LatentCodec, LatentVideo, PixelVideo,
                            latent_frame_count, tokenize, untokenize)
 from .model import (CustomVideoModel, LatentStats, ModelConfig,
                     load_checkpoint, save_checkpoint)
-from .prompt_fusion import PromptSpec, Template, build_template, fuse_t, toy_encoder
-from .rope3d import (RopeConfig, identity_positions, rotate, sequence_positions,
-                     video_positions)
+from .prompt_fusion import (PromptSpec, Template, build_template, fuse_t, prepare_prompt,
+                            toy_encoder)
+from .rope3d import RopeConfig, identity_positions, sequence_positions, video_positions
 from .synth_data import (AnnotationRecord, BBox, SceneParams, SpriteIdentity,
                          TrainSample, generate_dataset, generate_sample, load_dataset)
 from .video_inject import AlignmentNet, ConditionVideo, encode_condition

@@ -127,12 +127,13 @@ class AudioInjector:
         return ag.reshape(x, (frames * h, length, dh))
 
     def cross_attend_t(self, frames_tokens: ag.Tensor, aligned: np.ndarray) -> ag.Tensor:
-        """frames_tokens [F, wh, c] attends per frame to aligned [F, 16, c_a]."""
+        """frames_tokens [F, wh, c] attends per frame to aligned [F, 16, c_a],
+        given in the tokens' dtype (`CustomVideoModel.prepare` casts it)."""
         p = self.prefix
         F, wh, _ = frames_tokens.shape
         heads = self.config.heads
         dh = self.config.width // heads
-        audio = ag.Tensor(aligned.astype(frames_tokens.data.dtype, copy=False))
+        audio = ag.Tensor(aligned)
         q = self._heads(ag.matmul(frames_tokens, self.store[f"{p}.q.w"],
                                   self.store[f"{p}.q.b"]), F, wh)
         k = self._heads(ag.matmul(audio, self.store[f"{p}.k.w"], self.store[f"{p}.k.b"]),

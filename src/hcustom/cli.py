@@ -26,7 +26,7 @@ from .pipeline import (ABLATION_AXES, apply_overrides, run_ablation, run_trainin
                        sample_to_pixel)
 from .prompt_fusion import PromptSpec, Template
 from .rope3d import sequence_positions
-from .synth_data import SceneParams, generate_dataset, load_sample
+from .synth_data import MIN_SCENE_SIZE, SHAPES, SceneParams, generate_dataset, load_sample
 from .video_inject import ConditionVideo
 
 
@@ -48,7 +48,19 @@ def _load_config(path: str, overrides: list[str]) -> dict:
     return cfg
 
 
+def _require_positive(*flags):
+    for flag, value in flags:
+        if value < 1:
+            raise ConfigError(flag, f"must be >= 1, got {value}")
+
+
 def cmd_gen_data(args) -> int:
+    _require_positive(("--count", args.count), ("--frames", args.frames))
+    if not 1 <= args.subjects <= len(SHAPES):
+        raise ConfigError("--subjects", f"must be in 1..{len(SHAPES)} (descriptors are "
+                                        f"distinct shapes), got {args.subjects}")
+    if args.size < MIN_SCENE_SIZE:
+        raise ConfigError("--size", f"must be >= {MIN_SCENE_SIZE}, got {args.size}")
     out = os.environ.get("HCUSTOM_OUT") or args.out
     scene = SceneParams(frames=args.frames, size=args.size,
                         caption_style=args.caption_style)
@@ -65,12 +77,6 @@ def cmd_train(args) -> int:
           final_loss=result["losses"][-1] if result["losses"] else None)
     print(result["checkpoint"])
     return 0
-
-
-def _require_positive(*flags):
-    for flag, value in flags:
-        if value < 1:
-            raise ConfigError(flag, f"must be >= 1, got {value}")
 
 
 def _parse_subject(spec: str) -> tuple[str, str]:
@@ -138,8 +144,7 @@ def cmd_evaluate(args) -> int:
         if not os.path.exists(ref_path):
             raise ConfigError("--refs", f"missing reference sample for {name}")
         ref = load_sample(ref_path)
-        refs.append(EvalRef(identity_image=ref.identity_images[0],
-                            prompt=ref.caption, source_video=ref.video))
+        refs.append(EvalRef(identity_image=ref.identity_images[0], prompt=ref.caption))
     report = evaluate(videos, refs)
     report.save(args.report)
     print(report.render_table("hcustom"))

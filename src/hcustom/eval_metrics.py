@@ -133,8 +133,7 @@ def _calibrate_shapes():
     cal = {}
     R, canvas = 40.0, 128
     for shape in SHAPES:
-        alpha = render_sprite_alpha(shape, 0, (canvas / 2, canvas / 2), R,
-                                    canvas, canvas) > 0.5
+        alpha = render_sprite_alpha(shape, (canvas / 2, canvas / 2), R, canvas, canvas) > 0.5
         ys, xs = np.nonzero(alpha)
         w = (xs.max() - xs.min() + 1) / R
         h = (ys.max() - ys.min() + 1) / R
@@ -161,7 +160,7 @@ def shape_scores(mask: np.ndarray, box: BBox) -> np.ndarray:
         ew, eh, ox, oy = _SHAPE_CAL[shape]
         radius = 0.5 * (w / ew + h / eh)
         center = (bcx - ox * radius, bcy - oy * radius)
-        alpha = render_sprite_alpha(shape, 0, center, radius, h, w) > 0.5
+        alpha = render_sprite_alpha(shape, center, radius, h, w) > 0.5
         inter = np.logical_and(sub, alpha).sum()
         union = np.logical_or(sub, alpha).sum()
         scores.append(inter / union if union else 0.0)
@@ -227,7 +226,6 @@ class EvalRef:
 
     identity_image: PixelVideo | None = None
     prompt: str | None = None
-    source_video: PixelVideo | None = None
 
 
 @dataclass

@@ -9,9 +9,11 @@ flag), condition-video features are added to the video tokens after the
 backbone's input projection (add mode) or stacked onto the latents and
 compressed back to latent width (concat mode), audio is
 cross-attended per frame, and the fused prompt feeds cross-attention inside
-every block.  `prepare` owns the sequence layout: subjects 1..m in order,
-then the video, at `rope3d.sequence_positions`; `velocity_t` returns the
-velocity of the video rows only.
+every block.  `prepare` resolves every input once per sample, in the
+model's dtype: the sequence layout (subjects 1..m, then the video, at
+`rope3d.sequence_positions`), the identity latent, the prompt's token ids
+and pooled colours, the audio and the condition.  `velocity_t` computes
+from those alone and returns the velocity of the video rows only.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from .container import load_container, reading, save_container
 from .errors import ConfigError, ContainerError, DimensionMismatchError
 from .latent_codec import CodecConfig, LatentCodec, latent_frame_count, tokenize
 from .nn import ParamStore, normal_init
-from .prompt_fusion import PromptSpec, ToyMultimodalEncoder, fuse_t
+from .prompt_fusion import (PreparedPrompt, PromptSpec, ToyMultimodalEncoder, fuse_t,
+                            prepare_prompt)
 from .rope3d import rotation_tables, sequence_positions
 from .video_inject import AlignmentNet, ConcatCompressor, encode_condition
 
@@ -64,20 +67,23 @@ class ModelConfig:
 
 @dataclass
 class PreparedSample:
-    """Per-item tensors cached once so each training step is cheap.
+    """Every input the taped model reads of one item, resolved once by
+    `CustomVideoModel.prepare`, so a training or sampler step only computes.
 
-    All latents are stored in normalized latent space (see LatentStats).
+    All latents are stored in normalized latent space (see LatentStats);
+    every array but z1 is in the model's dtype.
     """
 
     z1: np.ndarray | None                 # [f*h*w, c] clean video tokens
-    id_tokens: np.ndarray                 # [m*h*w, c] identity tokens (may be empty)
+    # the identity latent as the sequence holds it: [n_identity_tokens, c]
+    # rows, or under channel concat [f*h*w, c], tiled over the latent frames
+    id_tokens: np.ndarray
     rope_cos: np.ndarray                  # [L, head_dim] for the assembled sequence
     rope_sin: np.ndarray
-    spec: PromptSpec
+    prompt: PreparedPrompt | None         # None: an empty prompt, no cross-attention
     frames: int
     height: int
     width: int
-    n_subjects: int
     aligned_audio: AlignedAudio | None = None
     cond_tokens: np.ndarray | None = None  # [f*h*w, c] raw (pre-alignment)
 
@@ -150,37 +156,31 @@ class CustomVideoModel:
         identity rows, then the video rows (under channel concat, the video
         rows with the identity latent stacked on their channels)."""
         if self.config.channel_concat:
-            if ps.n_subjects != 1:
-                raise DimensionMismatchError("channel concat supports exactly one subject")
-            ident = np.tile(ps.id_tokens, (ps.frames, 1))
-            return ag.concat([z_video, ag.Tensor(ident.astype(z_video.data.dtype))], axis=1)
+            return ag.concat([z_video, ag.Tensor(ps.id_tokens)], axis=1)
         if ps.n_identity_tokens:
-            ident = ag.Tensor(ps.id_tokens.astype(z_video.data.dtype))
-            return ag.concat([ident, z_video], axis=0)
+            return ag.concat([ag.Tensor(ps.id_tokens), z_video], axis=0)
         return z_video
 
     def velocity_t(self, ps: PreparedSample, z_video: ag.Tensor, t: float) -> ag.Tensor:
         """Predict the velocity of the video rows, [n_video_tokens, c]."""
-        cfg = self.config
-        dtype = z_video.data.dtype
         video_cond = None
         if ps.cond_tokens is not None:
-            aligned = self.align_net.forward_t(ag.Tensor(ps.cond_tokens.astype(dtype)))
-            if cfg.video_mode == "concat":
+            aligned = self.align_net.forward_t(ag.Tensor(ps.cond_tokens))
+            if self.config.video_mode == "concat":
                 z_video = self.compressor.forward_t(z_video, aligned)
             else:
                 video_cond = ag.matmul(aligned, self.store["vidin.w"])
         tokens = self.assemble_tokens_t(ps, z_video)
         n_id = ps.n_identity_tokens
         if video_cond is not None and n_id:
-            zeros = np.zeros((n_id, video_cond.shape[1]), dtype=dtype)
+            zeros = np.zeros((n_id, video_cond.shape[1]), dtype=video_cond.data.dtype)
             video_cond = ag.concat([ag.Tensor(zeros), video_cond], axis=0)
         if ps.aligned_audio is not None:
             tokens = inject_audio_t(tokens, ps.aligned_audio, self.audio_injector,
                                     ps.wh)
-        prompt, _, counts = fuse_t(ps.spec, self.encoder, include_images=cfg.fusion_images)
-        if not len(counts):
-            prompt = counts = None
+        prompt = counts = None
+        if ps.prompt is not None:
+            prompt, counts = fuse_t(ps.prompt, self.encoder), ps.prompt.counts
         v = self.backbone.forward_t(tokens, ps.rope_cos, ps.rope_sin, prompt, counts, t,
                                     video_cond=video_cond)
         return ag.split(v, [np.s_[n_id:]])[0] if n_id else v
@@ -191,11 +191,14 @@ class CustomVideoModel:
                 video=None, identity_images=(), spec: PromptSpec | None = None,
                 audio=None, condition=None, frames: int | None = None,
                 size: tuple[int, int] | None = None) -> PreparedSample:
-        """Encode raw inputs once into the cached training/sampling layout.
+        """Resolve raw inputs once into the layout `velocity_t` reads.
 
         For training pass `video`; for sampling pass `frames` (pixel frame
         count) and, when no identity image fixes the grid, `size` = (H, W).
+        The prompt is resolved here (`prompt_fusion.prepare_prompt`), so a
+        descriptor missing from an embedded template raises here too.
         """
+        cfg, dtype = self.config, self.store.dtype
         s = codec.config.spatial_factor
         if video is not None:
             z = codec.encode(video)
@@ -222,34 +225,36 @@ class CustomVideoModel:
                 raise DimensionMismatchError("identity image grid mismatch")
             id_tokens.append(stats.normalize(tokenize(zi)))
         m = len(id_tokens)
-        use_identity_tokens = self.config.identity_enhancement and m > 0
+        use_identity_tokens = cfg.identity_enhancement and m > 0
         pos = sequence_positions(m if use_identity_tokens else 0, f, w, h)
-        cos, sin = rotation_tables(pos, self.config.backbone.rope(),
-                                   dtype=self.store.dtype)
+        cos, sin = rotation_tables(pos, cfg.backbone.rope(), dtype=dtype)
+        if cfg.channel_concat and m != 1:
+            raise DimensionMismatchError(f"channel concat supports exactly one subject, got {m}")
+        ident = np.zeros((0, cfg.backbone.latent_channels))
+        if cfg.channel_concat:
+            ident = np.tile(id_tokens[0], (f, 1))
+        elif use_identity_tokens:
+            ident = np.concatenate(id_tokens, axis=0)
         aligned = None
         if audio is not None:
             if audio.feature_width != AUDIO_FEATURE_WIDTH:
                 raise DimensionMismatchError(
                     f"audio features have width {audio.feature_width}, "
                     f"the model reads {AUDIO_FEATURE_WIDTH}")
-            aligned = align_audio(audio, f)
+            aligned = AlignedAudio(align_audio(audio, f).data.astype(dtype))
             if not use_identity_tokens or m != 1:
                 raise ConfigError("audio",
                                   "audio conditioning requires exactly one identity subject")
         cond_tokens = None
         if condition is not None:
-            cond_tokens = stats.normalize(encode_condition(condition, codec))
+            cond_tokens = stats.normalize(encode_condition(condition, codec)).astype(dtype)
             if cond_tokens.shape[0] != f * h * w:
                 raise DimensionMismatchError("condition video frame count mismatch")
+        prompt = prepare_prompt(spec or PromptSpec("", []), cfg.fusion_images, dtype)
         return PreparedSample(
-            z1=z1_tokens,
-            id_tokens=(np.concatenate(id_tokens, axis=0) if id_tokens
-                       else np.zeros((0, self.config.backbone.latent_channels),
-                                     dtype=np.float32)),
-            rope_cos=cos, rope_sin=sin,
-            spec=spec or PromptSpec("", []),
-            frames=f, height=h, width=w, n_subjects=m,
-            aligned_audio=aligned, cond_tokens=cond_tokens)
+            z1=z1_tokens, id_tokens=ident.astype(dtype), rope_cos=cos, rope_sin=sin,
+            prompt=prompt if len(prompt.counts) else None,
+            frames=f, height=h, width=w, aligned_audio=aligned, cond_tokens=cond_tokens)
 
 
 # -- checkpointing ------------------------------------------------------------

@@ -126,7 +126,7 @@ class Adam:
         norm = float(np.sqrt(sum(float(np.square(g, dtype=np.float64).sum())
                                  for g in grads.values())))
         scale = 1.0
-        if self.clip_norm is not None and norm > self.clip_norm:
+        if norm > self.clip_norm:
             scale = self.clip_norm / norm
         self.t += 1
         b1, b2 = ADAM_BETAS
@@ -177,7 +177,7 @@ def _minor_faults() -> int | None:
 
 
 def fit(store: ParamStore, count: int, item_loss, step_rng, *, steps: int,
-        batch_size: int, learning_rate: float, clip_norm: float | None,
+        batch_size: int, learning_rate: float, clip_norm: float,
         log=None) -> list[float]:
     """Train the parameters of `store` with Adam; returns the loss curve.
 
@@ -230,5 +230,5 @@ def fit(store: ParamStore, count: int, item_loss, step_rng, *, steps: int,
             log(step=step, loss=total, wall_time=now - t_start, step_s=now - t_step,
                 page_faults=None if faults is None else _minor_faults() - faults,
                 grad_norm=grad_norm,
-                clipped=clip_norm is not None and grad_norm > clip_norm)
+                clipped=grad_norm > clip_norm)
     return losses

@@ -156,6 +156,11 @@ def validate_config(config: dict) -> dict:
     cfg = merge_config(schema, config)
     if cfg["template"] not in ("image_appended", "image_embedded"):
         raise ConfigError("template", f"unknown template {cfg['template']!r}")
+    # channel concat stacks one subject on the video's channels and drops the
+    # identity rows, which audio's f+1 aligned frames cover
+    if cfg["ablation"]["channel_concat"] and task not in ("single_subject", "video_custom"):
+        raise ConfigError("ablation.channel_concat", f"task {task!r} cannot stack one "
+                          "subject on the video's channels")
     _check_numbers(cfg)
     return cfg
 
@@ -334,8 +339,7 @@ def sample_training_conditions(result: dict, count: int, sampler_steps: int,
         videos.append(sample_to_pixel(model, codec, stats, ps,
                                       SamplerConfig(steps=sampler_steps,
                                                     seed=seed * 7919 + i)))
-        refs.append(EvalRef(identity_image=s.identity_images[0],
-                            prompt=s.caption, source_video=s.video))
+        refs.append(EvalRef(identity_image=s.identity_images[0], prompt=s.caption))
     return videos, refs
 
 
@@ -395,8 +399,10 @@ def run_ablation(cfg: dict, axes, *, n_eval: int, sampler_steps: int,
     axes = list(axes)
     if not axes or len(set(axes)) != len(axes):
         raise ConfigError("ablate", f"need one or more distinct axes, got {axes}")
-    # every axis is checked before the base spends any training time
+    # every variant is checked before the base spends any training time
     configs = {"base": cfg, **{axis: ablation_variant(cfg, axis) for axis in axes}}
+    for run_cfg in configs.values():
+        model_config_from(validate_config(run_cfg))
     runs = {}
     for name, run_cfg in configs.items():
         run_cfg = dict(run_cfg, out_dir=os.path.join(cfg["out_dir"], name))

@@ -8,19 +8,24 @@ hidden features (576 tokens); the separator is a dedicated learned
 embedding that user text can never forge, since raw text is escaped and
 the tokenizer only ever emits plain word/punctuation tokens.
 
+`prepare_prompt` resolves a prompt once per sample: the template walk, the
+token ids and each image's pooled colours depend on neither the timestep
+nor the weights.  `fuse_t` maps that `PreparedPrompt` through the
+encoder's weights, at every velocity.
+
 An image token is the projection of one pooled RGB cell, and identity
 sprites sit on flat backgrounds, so most of an image's 576 tokens repeat a
 few colours.  The fused prompt therefore holds each image's distinct pooled
 colours once, with a count per row of the cells it fills (text and
 separator rows count 1); the backbone's cross-attention weights each row by
 its count (`autograd.attention`), which equals attending over all 576
-copies.  The distinct colours are found on the pooled pixels, once per
-image, not on the projected features.
+copies.  The distinct colours are found on the pooled pixels, not on the
+projected features.
 """
 
 from __future__ import annotations
 
-import hashlib
+import itertools
 import re
 import zlib
 from dataclasses import dataclass, field
@@ -85,39 +90,27 @@ def escape_markers(text: str) -> str:
 
 def _template_tokens(spec: PromptSpec) -> list[tuple[str, object]]:
     """Tagged token stream: ("text", word) | ("sep", None) | ("image", k)."""
-    words = tokenize_text(escape_markers(spec.text))
-    if spec.template is Template.image_embedded:
-        out: list[tuple[str, object]] = [("text", w) for w in words]
-        for k, (descriptor, _) in enumerate(spec.subjects, start=1):
-            hits = [i for i, (tag, w) in enumerate(out)
-                    if tag == "text" and str(w).lower() == descriptor.lower()]
-            if not hits:
-                raise MissingDescriptorError(
-                    f"descriptor {descriptor!r} does not occur in the text")
-            if len(hits) > 1:
-                raise DuplicateDescriptorError(
-                    f"descriptor {descriptor!r} occurs {len(hits)} times")
-            out[hits[0]] = ("image", k)
-        return out
-    out = [("text", w) for w in words]
+    out: list[tuple[str, object]] = [
+        ("text", w) for w in tokenize_text(escape_markers(spec.text))]
     for k, (descriptor, _) in enumerate(spec.subjects, start=1):
-        out.append(("sep", None))
-        out.extend(("text", w) for w in ["The", descriptor, "looks", "like"])
-        out.append(("image", k))
+        if spec.template is Template.image_appended:
+            phrase = ("The", descriptor, "looks", "like")
+            out += [("sep", None), *(("text", w) for w in phrase), ("image", k)]
+            continue
+        hits = [i for i, (tag, w) in enumerate(out)
+                if tag == "text" and str(w).lower() == descriptor.lower()]
+        if not hits:
+            raise MissingDescriptorError(f"descriptor {descriptor!r} does not occur in the text")
+        if len(hits) > 1:
+            raise DuplicateDescriptorError(f"descriptor {descriptor!r} occurs {len(hits)} times")
+        out[hits[0]] = ("image", k)
     return out
 
 
 def build_template(spec: PromptSpec) -> str:
     """Render the chosen template as a single token string."""
-    parts = []
-    for tag, value in _template_tokens(spec):
-        if tag == "text":
-            parts.append(str(value))
-        elif tag == "sep":
-            parts.append(SEP_TEXT)
-        else:
-            parts.append(IMAGE_TEXT)
-    return " ".join(parts)
+    markers = {"sep": SEP_TEXT, "image": IMAGE_TEXT}
+    return " ".join(markers.get(tag, str(value)) for tag, value in _template_tokens(spec))
 
 
 def adaptive_pool_image(image: np.ndarray, grid: int = IMAGE_GRID) -> np.ndarray:
@@ -132,13 +125,66 @@ def adaptive_pool_image(image: np.ndarray, grid: int = IMAGE_GRID) -> np.ndarray
     return out
 
 
+def token_id(word: str) -> int:
+    """Row of the encoder's token table: a vocabulary index, or a hashed
+    out-of-vocabulary bucket."""
+    w = word.lower()
+    if w in _TOKEN_IDS:
+        return _TOKEN_IDS[w]
+    return len(VOCAB) + zlib.crc32(w.encode("utf-8")) % OOV_BUCKETS
+
+
+@dataclass
+class PreparedPrompt:
+    """A prompt resolved once: all that `fuse_t` reads besides the weights.
+
+    `pieces` follow the template order: ("text", token ids [n]) for a run of
+    words, ("sep", None), or ("image", rows [n, 3]) for the distinct pooled
+    colours of one identity image.  `provenance` ("text" | "sep" |
+    "image-k") and `counts` hold one entry per fused row; a row's count is
+    the number of prompt tokens it stands for.
+    """
+
+    pieces: tuple
+    provenance: list[str]
+    counts: np.ndarray
+
+
+def prepare_prompt(spec: PromptSpec, include_images: bool = True,
+                   dtype=np.float32) -> PreparedPrompt:
+    """Walk the template once: token ids per text run, and per image the
+    distinct rows of its 24x24 pooled RGB grid (in `dtype`) with the number
+    of IMAGE_TOKENS cells each fills.  Without `include_images` the image
+    markers are dropped.  Descriptor problems raise their TemplateError."""
+    pieces, provenance, counts = [], [], []
+
+    def add(piece, tag, cells):
+        pieces.append(piece)
+        provenance.extend([tag] * len(cells))
+        counts.extend(cells)
+
+    for tag, run in itertools.groupby(_template_tokens(spec), key=lambda item: item[0]):
+        if tag == "text":
+            ids = np.array([token_id(str(word)) for _, word in run])
+            add(("text", ids), "text", [1] * len(ids))
+        elif tag == "sep":
+            for _ in run:
+                add(("sep", None), "sep", [1])
+        elif include_images:
+            for _, k in run:
+                pooled = adaptive_pool_image(spec.subjects[k - 1][1].data[0])
+                rows, cells = np.unique(pooled.reshape(IMAGE_TOKENS, 3).astype(dtype),
+                                        axis=0, return_counts=True)
+                add(("image", rows), f"image-{k}", cells)
+    return PreparedPrompt(tuple(pieces), provenance, np.array(counts, dtype=np.int64))
+
+
 class ToyMultimodalEncoder:
-    """Deterministic stand-in for a vision-language encoder.
+    """Deterministic stand-in for a vision-language encoder: its weights.
 
     Text path: small-vocabulary embedding table with hashed OOV buckets.
-    Image path: fixed 24x24 average pooling of the identity image followed
-    by a learned linear map to the text width, applied to each distinct
-    pooled colour once.
+    Image path: a learned linear map of each distinct pooled colour
+    (`prepare_prompt`) to the text width.  `fuse_t` applies both.
     """
 
     prefix = "encoder"
@@ -146,51 +192,12 @@ class ToyMultimodalEncoder:
     def __init__(self, store: ParamStore, rng: np.random.Generator, d_text: int = 128):
         self.d_text = d_text
         self.store = store
-        self._pool_cache: dict = {}
         prefix = self.prefix
         n_rows = len(VOCAB) + OOV_BUCKETS
         store.parameter(f"{prefix}.token_table", normal_init(rng, (n_rows, d_text), std=0.02))
         store.parameter(f"{prefix}.sep", normal_init(rng, (d_text,), std=0.02))
         store.parameter(f"{prefix}.image.w", normal_init(rng, (3, d_text)))
         store.parameter(f"{prefix}.image.b", np.zeros(d_text))
-
-    def token_id(self, word: str) -> int:
-        w = word.lower()
-        if w in _TOKEN_IDS:
-            return _TOKEN_IDS[w]
-        return len(VOCAB) + zlib.crc32(w.encode("utf-8")) % OOV_BUCKETS
-
-    def encode_text_t(self, words: list[str]) -> ag.Tensor:
-        if not words:
-            return ag.Tensor(np.zeros((0, self.d_text), dtype=self.store.dtype))
-        ids = np.array([self.token_id(w) for w in words])
-        return ag.embedding(self.store[f"{self.prefix}.token_table"], ids)
-
-    def sep_t(self) -> ag.Tensor:
-        return ag.reshape(self.store[f"{self.prefix}.sep"], (1, self.d_text))
-
-    def _pooled(self, image: PixelVideo) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct rows of the image's 24x24 pooled RGB grid, and how
-        many of its IMAGE_TOKENS cells each row fills."""
-        # pooling is pure and images are reused every step: cache by content,
-        # under a digest that no two images can be made to share
-        data = image.data
-        key = (data.shape, data.dtype.str, hashlib.sha256(data.tobytes()).digest())
-        hit = self._pool_cache.get(key)
-        if hit is None:
-            pooled = adaptive_pool_image(data[0]).reshape(IMAGE_TOKENS, 3)
-            hit = np.unique(pooled.astype(self.store.dtype), axis=0, return_counts=True)
-            if len(self._pool_cache) < 4096:
-                self._pool_cache[key] = hit
-        return hit
-
-    def encode_image_t(self, image: PixelVideo) -> tuple[ag.Tensor, np.ndarray]:
-        """Hidden features [n, d_text] of the image's n distinct pooled
-        colours, and the count of grid cells each one stands for."""
-        rows, counts = self._pooled(image)
-        features = ag.matmul(ag.Tensor(rows), self.store[f"{self.prefix}.image.w"],
-                             self.store[f"{self.prefix}.image.b"])
-        return features, counts
 
 
 def toy_encoder(seed: int = 0, d_text: int = 128) -> ToyMultimodalEncoder:
@@ -199,50 +206,26 @@ def toy_encoder(seed: int = 0, d_text: int = 128) -> ToyMultimodalEncoder:
     return ToyMultimodalEncoder(store, np.random.default_rng(seed), d_text=d_text)
 
 
-def fuse_t(spec: PromptSpec, encoder: ToyMultimodalEncoder, include_images: bool = True
-           ) -> tuple[ag.Tensor, list[str], np.ndarray]:
-    """Taped fusion: expand markers into image feature blocks.
+def fuse_t(prompt: PreparedPrompt, encoder: ToyMultimodalEncoder) -> ag.Tensor:
+    """Taped fusion: the rows [S, d_text] of a prepared prompt, in the order
+    of its provenance.
 
-    Returns the fused rows [S, d_text], each row's provenance ("text" |
-    "sep" | "image-k") and each row's count: how many prompt tokens the row
-    stands for.  A text or separator row is one token; an image block holds
-    one row per distinct pooled colour of its identity image, counted by the
-    grid cells it fills, so the counts of each "image-k" sum to
-    IMAGE_TOKENS.  Cross-attention over the rows weighted by their counts is
-    attention over the full prompt of sum(counts) tokens.
+    A text run is a table lookup, the separator a learned row and an image
+    block the projection of its distinct pooled colours, so the counts of
+    each "image-k" sum to IMAGE_TOKENS.  Cross-attention over the rows
+    weighted by `prompt.counts` is attention over the full prompt of
+    sum(counts) tokens.
     """
-    tagged = _template_tokens(spec)
-    pieces: list[ag.Tensor] = []
-    provenance: list[str] = []
-    counts: list[int] = []
-    run: list[str] = []
-
-    def flush():
-        if run:
-            pieces.append(encoder.encode_text_t(run))
-            provenance.extend("text" for _ in run)
-            counts.extend(1 for _ in run)
-            run.clear()
-
-    for tag, value in tagged:
-        if tag == "text":
-            run.append(str(value))
-        elif tag == "sep":
-            flush()
-            pieces.append(encoder.sep_t())
-            provenance.append("sep")
-            counts.append(1)
+    store, p = encoder.store, encoder.prefix
+    pieces = []
+    for kind, value in prompt.pieces:
+        if kind == "text":
+            pieces.append(ag.embedding(store[f"{p}.token_table"], value))
+        elif kind == "sep":
+            pieces.append(ag.reshape(store[f"{p}.sep"], (1, encoder.d_text)))
         else:
-            flush()
-            if include_images:
-                k = int(value)
-                rows, image_counts = encoder.encode_image_t(spec.subjects[k - 1][1])
-                pieces.append(rows)
-                provenance.extend(f"image-{k}" for _ in range(len(image_counts)))
-                counts.extend(image_counts)
-    flush()
-    row_counts = np.array(counts, dtype=np.int64)
+            pieces.append(ag.matmul(ag.Tensor(value), store[f"{p}.image.w"],
+                                    store[f"{p}.image.b"]))
     if not pieces:
-        empty = ag.Tensor(np.zeros((0, encoder.d_text), dtype=encoder.store.dtype))
-        return empty, [], row_counts
-    return ag.concat(pieces, axis=0), provenance, row_counts
+        return ag.Tensor(np.zeros((0, encoder.d_text), dtype=store.dtype))
+    return ag.concat(pieces, axis=0)

@@ -9,9 +9,8 @@ Each axis segment of the head dim rotates its channels in pairs (first
 half, second half).  `rotation_tables` spreads the per-pair angles over the
 full head dim as a cos table and a signed-sin table, so a rotation is one
 rotate-half expression, x * cos + x[..., half_swap] * sin (RoFormer, Su et
-al. 2021).  `apply_rotation` (taped, [L, heads, head_dim]) and `rotate`
-(one vector) both compute it; the VJP is the rotation by the negated
-angles.
+al. 2021), which `apply_rotation` computes as one tape op over
+[L, heads, head_dim]; its VJP is the rotation by the negated angles.
 """
 
 from __future__ import annotations
@@ -118,29 +117,19 @@ def _rotate_half(x: np.ndarray, cos: np.ndarray, sin: np.ndarray,
     return out
 
 
-def rotate(vector: np.ndarray, pos, config: RopeConfig) -> np.ndarray:
-    """Rotate one head-dim vector to position pos = (t, x, y).
-
-    Within each axis segment of size d_a the vector is treated as d_a/2
-    two-dimensional pairs (first half, second half), each rotated by
-    pos_axis * ROPE_BASE**(-2m/d_a).  Norm-preserving by construction.
-    """
-    vector = np.asarray(vector)
-    if vector.shape != (config.head_dim,):
-        raise ValueError(f"expected vector of length {config.head_dim}, got {vector.shape}")
-    pos = np.asarray(pos, dtype=np.int64).reshape(1, 3)
-    cos, sin = rotation_tables(pos, config, dtype=vector.dtype)
-    return _rotate_half(vector, cos[0], sin[0], half_swap(config))
-
-
 def apply_rotation(x: ag.Tensor, cos: np.ndarray, sin: np.ndarray,
                    config: RopeConfig) -> ag.Tensor:
     """Rotate taped activations [L, heads, head_dim] with precomputed tables.
 
     One tape op.  cos/sin are the [L, head_dim] tables of `rotation_tables`;
-    they broadcast over heads.  The rotation is linear and orthogonal, so
-    its VJP is the rotation by the negated angles: g * cos - g[..., swap] * sin.
+    they broadcast over heads.  Within each axis segment of size d_a the
+    channels form d_a/2 pairs (first half, second half), each rotated by
+    pos_axis * ROPE_BASE**(-2m/d_a), so norms are preserved.  The rotation
+    is linear and orthogonal, so its VJP is the rotation by the negated
+    angles: g * cos - g[..., swap] * sin.
     """
+    if x.shape[-1] != config.head_dim:
+        raise ValueError(f"expected vectors of length {config.head_dim}, got {x.shape}")
     swap = half_swap(config)
     c, s = cos[:, None, :], sin[:, None, :]
     return ag._make(_rotate_half(x.data, c, s, swap), (x,),

@@ -169,8 +169,8 @@ def shape_distance(shape: str, xs: np.ndarray, ys: np.ndarray, radius: float) ->
     raise ValueError(f"unknown shape {shape!r}")
 
 
-def render_sprite_alpha(shape: str, size: int, center: tuple[float, float],
-                        radius: float, height: int, width: int) -> np.ndarray:
+def render_sprite_alpha(shape: str, center: tuple[float, float], radius: float,
+                        height: int, width: int) -> np.ndarray:
     ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)
     xs = xs - center[0]
     ys = ys - center[1]
@@ -187,7 +187,7 @@ def render_identity_frame(identity: SpriteIdentity, size: int = 64) -> np.ndarra
 
 def _composite_sprite(frame, identity, center, radius):
     h, w = frame.shape[:2]
-    alpha = render_sprite_alpha(identity.shape, identity.size, center, radius, h, w)
+    alpha = render_sprite_alpha(identity.shape, center, radius, h, w)
     ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
     value = np.full((h, w), 0.95)
     if identity.texture == "striped":
@@ -321,8 +321,8 @@ def load_sample(path) -> TrainSample:
         )
 
 
-def identity_pool(seed: int, count: int, sizes=(20, 26)) -> list[SpriteIdentity]:
-    """Deterministic list of distinct identities."""
+def identity_pool(seed: int, count: int | None, sizes=(20, 26)) -> list[SpriteIdentity]:
+    """The first `count` (None: all) of every identity, in a seeded order."""
     combos = [SpriteIdentity(shape=s, hue_bin=h, texture=t, size=sz)
               for s in SHAPES for h in range(N_HUE_BINS)
               for t in TEXTURES for sz in sizes]
@@ -331,26 +331,28 @@ def identity_pool(seed: int, count: int, sizes=(20, 26)) -> list[SpriteIdentity]
     return [combos[i] for i in order[:count]]
 
 
+MIN_SCENE_SIZE = 9  # twice the walk margin (0.75 x size) of its largest sprite, 6 px
+
+
 def generate_dataset(out_dir, count: int, seed: int,
                      scene: SceneParams = SceneParams(),
                      subjects_per_sample: int = 1) -> list[str]:
-    """Write `count` samples plus a manifest; returns the sample paths."""
+    """Write `count` samples of 1..len(SHAPES) subjects plus a manifest;
+    returns the sample paths.  `scene.size` must be >= MIN_SCENE_SIZE."""
     os.makedirs(out_dir, exist_ok=True)
     sizes = (max(round(scene.size * 0.34), 5), max(round(scene.size * 0.46), 6))
-    pool = identity_pool(seed, count * subjects_per_sample, sizes=sizes)
+    pool = identity_pool(seed, None, sizes=sizes)
     paths = []
     for i in range(count):
-        idents = pool[i * subjects_per_sample:(i + 1) * subjects_per_sample]
-        if subjects_per_sample > 1:
-            # descriptors must be unique within a sample
-            shapes = {x.shape for x in idents}
-            j = 0
-            while len(shapes) < len(idents) and j < len(pool):
-                cand = pool[(count * subjects_per_sample + j) % len(pool)]
-                j += 1
-                if cand.shape not in shapes:
-                    idents[-1] = cand
-                    shapes = {x.shape for x in idents}
+        idents = [pool[(i * subjects_per_sample + k) % len(pool)]
+                  for k in range(subjects_per_sample)]
+        # descriptors must be unique within a sample: a shape that repeats gives
+        # way to the pool's next identity of a shape no other subject has
+        candidates = iter(pool)
+        for k in range(1, len(idents)):
+            if idents[k].shape in {x.shape for x in idents[:k]}:
+                taken = {x.shape for x in idents[:k] + idents[k + 1:]}
+                idents[k] = next(c for c in candidates if c.shape not in taken)
         sample = generate_sample(idents if subjects_per_sample > 1 else idents[0],
                                  scene, seed=seed * 100_003 + i)
         path = os.path.join(out_dir, f"sample_{i:05d}.hc")

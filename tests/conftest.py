@@ -8,10 +8,13 @@ trade-off is tuned in one place.
 
 import time
 
+import numpy as np
 import pytest
 
+from hcustom import autograd as ag
 from hcustom.pipeline import (merge_config, run_ablation, run_training,
                               sample_training_conditions)
+from hcustom.rope3d import apply_rotation, rotation_tables
 from hcustom.synth_data import SceneParams, generate_dataset
 
 OVERFIT_CFG = {
@@ -104,3 +107,12 @@ def backbone_inputs(model, ps, z, t=0.5):
     finally:
         del model.backbone.forward_t
     return seen["tokens"], seen["video_cond"], velocity
+
+
+def rotate(vector, pos, config):
+    """One head-dim vector rotated to position pos = (t, x, y), through the
+    path the backbone runs: `rotation_tables` and `apply_rotation`."""
+    vector = np.asarray(vector)
+    cos, sin = rotation_tables(np.reshape(pos, (1, 3)), config, dtype=vector.dtype)
+    x = ag.Tensor(vector.reshape(1, 1, -1))
+    return apply_rotation(x, cos, sin, config).data[0, 0]

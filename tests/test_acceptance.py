@@ -26,7 +26,7 @@ from hcustom.latent_codec import (CodecConfig, LatentCodec, PixelVideo,
 from hcustom.model import CustomVideoModel, LatentStats, ModelConfig
 from hcustom.pipeline import condition_for_sample, run_training
 from hcustom.prompt_fusion import PromptSpec
-from hcustom.rope3d import RopeConfig, identity_positions, rotate, video_positions
+from hcustom.rope3d import RopeConfig, identity_positions, video_positions
 from hcustom.synth_data import (AnnotationRecord, BBox, SceneParams,
                                 SpriteIdentity, crop_with_coverage,
                                 filter_clips, generate_dataset, generate_sample,
@@ -43,7 +43,7 @@ def report(criterion: int, ok: bool, detail: str = ""):
     assert ok, f"criterion {criterion} failed: {detail}"
 
 
-from conftest import backbone_inputs
+from conftest import backbone_inputs, rotate
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,16 @@ def test_gen_data_wrote_manifest(workspace):
     assert len(manifest["samples"]) == 3
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--subjects", "0"), ("--subjects", "5"), ("--size", "8"), ("--size", "0"),
+    ("--frames", "0"), ("--frames", "-3"), ("--count", "0"), ("--count", "-1")])
+def test_gen_data_rejects_a_count_out_of_range(tmp_path, capsys, flag, value):
+    args = ["gen-data", "--count", "2", "--out", str(tmp_path / "data"), flag, value]
+    assert main(args) == 2
+    assert f"config error: {flag}:" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
 def test_train_and_sample_cli(workspace, capsys):
     root, data, cfg_path = workspace
     rc = main(["train", "--config", str(cfg_path)])
@@ -109,12 +119,17 @@ def test_train_and_sample_cli(workspace, capsys):
     "model.heads=abc", "model.width=-16", "model.blocks=0", "model.text_width=0",
     "model.mlp_ratio=0", "codec.spatial_factor=abc", "codec.latent_channels=0",
     "codec.hidden_channels=0", "audio.width=0", "audio.heads=true",
-    "video_inject.align_hidden=0"])
+    "video_inject.align_hidden=0",
+    # channel concat on a task without exactly one subject, or one that
+    # reads the identity rows (several overrides, the last one named)
+    *(f"task={task} ablation.identity_enhancement=false ablation.channel_concat=true"
+      for task in ("t2v", "multi_subject", "audio_custom"))])
 def test_bad_config_value_exits_2_before_codec_training(workspace, tmp_path, capsys,
                                                         override):
     _, _, cfg_path = workspace
-    args = ["train", "--config", str(cfg_path), "--set", override,
-            "--set", f"out_dir={tmp_path}"]
+    overrides = override.split()
+    args = ["train", "--config", str(cfg_path), "--set", f"out_dir={tmp_path}"]
+    args += [arg for pair in overrides for arg in ("--set", pair)]
     if override.startswith("audio."):
         args += ["--set", "task=audio_custom"]
     if override.startswith("video_inject."):
@@ -122,7 +137,7 @@ def test_bad_config_value_exits_2_before_codec_training(workspace, tmp_path, cap
     assert main(args) == 2
     err = capsys.readouterr().err
     assert '"stage": "codec"' not in err
-    key = override.split("=")[0]
+    key = overrides[-1].split("=")[0]
     assert f"config error: {key}:" in err
 
 
@@ -298,7 +313,10 @@ def test_ablate_cli_trains_base_and_each_axis_under_hcustom_out(workspace, tmp_p
 @pytest.mark.parametrize("flags,field", [
     (["--axis", "no_fusion"], "ablate"),
     (["--eval-count", "0"], "--eval-count"),
-    (["--sampler-steps", "0"], "--sampler-steps")])
+    (["--sampler-steps", "0"], "--sampler-steps"),
+    # a variant that validation refuses stops the run before the base trains
+    (["--set", "task=multi_subject", "--axis", "channel_concat"], "ablation.channel_concat"),
+    (["--set", "task=t2v", "--axis", "channel_concat"], "ablation.channel_concat")])
 def test_ablate_usage_errors_exit_2_before_training(workspace, tmp_path, capsys, flags,
                                                     field):
     _, _, cfg_path = workspace

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -170,7 +171,7 @@ def test_training_events_report_gradient_norm_and_clipping(setup):
 
     # the first step's norm does not depend on the threshold
     norm = events[0]["grad_norm"]
-    for clip_norm, clipped in ((0.99 * norm, True), (1.01 * norm, False), (None, False)):
+    for clip_norm, clipped in ((0.99 * norm, True), (1.01 * norm, False), (math.inf, False)):
         seen = []
         train_flow(CustomVideoModel(TINY, dtype=np.float64), prepared, steps=1,
                    batch_size=2, seed=3, clip_norm=clip_norm,

@@ -1,5 +1,5 @@
-"""CustomVideoModel.prepare: the sequence layout it caches and the inputs
-it rejects."""
+"""CustomVideoModel.prepare: the sequence layout and the inputs it
+resolves once, and the inputs it rejects."""
 
 import dataclasses
 
@@ -9,9 +9,12 @@ import pytest
 from hcustom import autograd as ag
 from hcustom.audio_net import AudioTrack
 from hcustom.backbone import BackboneConfig
-from hcustom.errors import ConfigError, DimensionMismatchError
+from hcustom import prompt_fusion
+from hcustom.errors import ConfigError, DimensionMismatchError, MissingDescriptorError
+from hcustom.flow_match import SamplerConfig, flow_loss_t, sample_flow
 from hcustom.latent_codec import CodecConfig, LatentCodec, PixelVideo
 from hcustom.model import CustomVideoModel, LatentStats, ModelConfig
+from hcustom.prompt_fusion import PromptSpec, Template
 from hcustom.rope3d import rotation_tables, sequence_positions
 from hcustom.synth_data import SceneParams, SpriteIdentity, generate_sample
 from hcustom.video_inject import ConditionVideo
@@ -100,3 +103,61 @@ def test_prepare_rejects_audio_features_of_another_width(parts):
     with pytest.raises(DimensionMismatchError, match="width 7"):
         model.prepare(codec, stats, video=sample.video,
                       identity_images=sample.identity_images, audio=audio)
+
+
+def _spec(sample, template=Template.image_appended):
+    return PromptSpec(sample.caption, [(sample.descriptors[0], sample.identity_images[0])],
+                      template)
+
+
+def test_steps_after_prepare_pool_and_encode_nothing(parts, monkeypatch):
+    # the prompt's image colours and every latent are found once, in prepare
+    model, codec, stats, sample = parts
+    ps = model.prepare(codec, stats, video=sample.video,
+                       identity_images=sample.identity_images, spec=_spec(sample))
+    assert ps.prompt is not None and "image-1" in ps.prompt.provenance
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a step after prepare read pixels")
+
+    monkeypatch.setattr(prompt_fusion, "adaptive_pool_image", refuse)
+    monkeypatch.setattr(LatentCodec, "encode", refuse)
+    z0 = np.random.default_rng(3).standard_normal(ps.z1.shape).astype(np.float32)
+    model.store.zero_grad()
+    flow_loss_t(model, ps, 0.4, z0).backward()
+    assert model.store["encoder.image.w"].grad is not None
+    tokens = sample_flow(model, ps, SamplerConfig(steps=2, seed=1))
+    assert tokens.shape == ps.z1.shape and np.isfinite(tokens).all()
+
+
+def test_no_field_of_a_prepared_sample_is_a_pixel_video(parts):
+    model, codec, stats, sample = parts
+    ps = model.prepare(codec, stats, video=sample.video,
+                       identity_images=sample.identity_images, spec=_spec(sample),
+                       audio=sample.audio, condition=ConditionVideo(sample.video))
+    values = [getattr(ps, f.name) for f in dataclasses.fields(ps)]
+    values += [value for _, value in ps.prompt.pieces]
+    assert not any(isinstance(value, PixelVideo) for value in values)
+    # what the model reads is in its dtype
+    for array in (ps.id_tokens, ps.cond_tokens, ps.aligned_audio.data,
+                  *(value for kind, value in ps.prompt.pieces if kind == "image")):
+        assert array.dtype == model.store.dtype
+
+
+def test_prepare_rejects_an_embedded_template_without_its_descriptor(parts):
+    model, codec, stats, sample = parts
+    spec = PromptSpec("a shape drifts", [("circle", sample.identity_images[0])],
+                      Template.image_embedded)
+    with pytest.raises(MissingDescriptorError):
+        model.prepare(codec, stats, video=sample.video,
+                      identity_images=sample.identity_images, spec=spec)
+
+
+@pytest.mark.parametrize("subjects", [0, 2])
+def test_prepare_rejects_channel_concat_without_exactly_one_subject(parts, subjects):
+    model, codec, stats, sample = parts
+    model = CustomVideoModel(dataclasses.replace(
+        model.config, identity_enhancement=False, channel_concat=True))
+    with pytest.raises(DimensionMismatchError, match="exactly one subject"):
+        model.prepare(codec, stats, video=sample.video,
+                      identity_images=sample.identity_images * subjects)

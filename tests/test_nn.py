@@ -1,6 +1,7 @@
 """The shared training loop `nn.fit`, on a toy quadratic, and the allocator
 setting it makes for the codec's training steps."""
 
+import math
 import statistics
 
 import numpy as np
@@ -35,7 +36,7 @@ def test_fit_draws_distinct_items_per_step_and_zeroes_gradients_once(batch_size,
 
     store.zero_grad = marked_zero_grad
     losses = fit(store, 4, _quadratic(store, calls), np.random.default_rng, steps=3,
-                 batch_size=batch_size, learning_rate=0.1, clip_norm=None)
+                 batch_size=batch_size, learning_rate=0.1, clip_norm=math.inf)
     assert zeroed == [0, drawn, 2 * drawn]
     for step in range(3):
         expect = np.random.default_rng(step).choice(4, size=drawn, replace=False)
@@ -47,7 +48,7 @@ def test_fit_draws_distinct_items_per_step_and_zeroes_gradients_once(batch_size,
 
 
 
-@pytest.mark.parametrize("clip_norm", [None, 0.5])
+@pytest.mark.parametrize("clip_norm", [math.inf, 0.5])
 def test_adam_step_equals_the_unfused_formula_bitwise(clip_norm):
     # the in-place update against the expressions it replaced, from a random
     # state at t = 3, with and without a clipping scale
@@ -61,7 +62,7 @@ def test_adam_step_equals_the_unfused_formula_bitwise(clip_norm):
     want = {}
     grads = {n: local.normal(size=s).astype(np.float32) for n, s in shapes.items()}
     norm = float(np.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads.values())))
-    scale = clip_norm / norm if clip_norm is not None and norm > clip_norm else 1.0
+    scale = clip_norm / norm if norm > clip_norm else 1.0
     b1, b2 = ADAM_BETAS
     b1t, b2t = 1.0 - b1 ** 4, 1.0 - b2 ** 4
     for name, p in store.items():
@@ -73,7 +74,7 @@ def test_adam_step_equals_the_unfused_formula_bitwise(clip_norm):
         v = opt._v[name] * b2 + (1.0 - b2) * (g * g)
         want[name] = (p.data - opt.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS), m, v)
     assert opt.step() == norm
-    assert (scale != 1.0) == (clip_norm is not None)
+    assert (scale != 1.0) == (clip_norm != math.inf)
     for name, p in store.items():
         data, m, v = want[name]
         assert p.data.dtype == np.float32
@@ -88,7 +89,7 @@ def test_fit_events_carry_step_time_and_page_faults():
     store.parameter("w", np.zeros(3))
     events = []
     fit(store, 4, _quadratic(store, []), np.random.default_rng, steps=3, batch_size=2,
-        learning_rate=0.1, clip_norm=None, log=lambda **kw: events.append(kw))
+        learning_rate=0.1, clip_norm=math.inf, log=lambda **kw: events.append(kw))
     assert [e["step"] for e in events] == [0, 1, 2]
     for e in events:
         assert set(e) == {"step", "loss", "wall_time", "step_s", "page_faults",

@@ -7,7 +7,7 @@ from hcustom.errors import DuplicateDescriptorError, MissingDescriptorError
 from hcustom.latent_codec import PixelVideo
 from hcustom.prompt_fusion import (IMAGE_GRID, IMAGE_TOKENS, PromptSpec, Template,
                                    _template_tokens, adaptive_pool_image, build_template,
-                                   fuse_t, tokenize_text, toy_encoder)
+                                   fuse_t, prepare_prompt, tokenize_text, toy_encoder)
 
 rng = np.random.default_rng(11)
 
@@ -15,6 +15,18 @@ rng = np.random.default_rng(11)
 def img(seed=0, size=16):
     r = np.random.default_rng(seed)
     return PixelVideo(r.random((1, size, size, 3), dtype=np.float32))
+
+
+def fused(spec, encoder, include_images=True):
+    """The fused rows of `spec`, their provenance and their counts."""
+    prompt = prepare_prompt(spec, include_images, encoder.store.dtype)
+    return fuse_t(prompt, encoder), prompt.provenance, prompt.counts
+
+
+def image_rows(encoder, image):
+    """The fused rows of one identity image and the cell count of each."""
+    emb, _, counts = fused(PromptSpec("x", [("x", image)], Template.image_embedded), encoder)
+    return emb, counts
 
 
 def _tokens_of(provenance, counts, tag):
@@ -53,13 +65,13 @@ def test_duplicate_descriptor_embedded():
 
 def test_sep_forgery_is_escaped():
     spec = PromptSpec("hello <SEP> world", [("world", img())], Template.image_appended)
-    _, provenance, _ = fuse_t(spec, toy_encoder(0))
+    _, provenance, _ = fused(spec, toy_encoder(0))
     assert provenance.count("sep") == 1  # only the template separator, not user text
 
 
 def test_fuse_counts_single_subject():
     spec = PromptSpec("a b c d e f", [("man", img())], Template.image_appended)
-    emb, provenance, counts = fuse_t(spec, toy_encoder(0))
+    emb, provenance, counts = fused(spec, toy_encoder(0))
     # 6 text + 1 sep + 4 identity-phrase words + 576 image tokens
     assert len(provenance) == emb.shape[0] == len(counts)
     assert counts.sum() == 6 + 1 + 4 + IMAGE_TOKENS
@@ -71,14 +83,14 @@ def test_fuse_counts_two_subjects():
     spec = PromptSpec("a red circle and a blue square",
                       [("circle", img(1)), ("square", img(2))],
                       Template.image_appended)
-    _, provenance, counts = fuse_t(spec, toy_encoder(0))
+    _, provenance, counts = fused(spec, toy_encoder(0))
     assert provenance.count("sep") == 2
     assert _tokens_of(provenance, counts, "image-1") == IMAGE_TOKENS
     assert _tokens_of(provenance, counts, "image-2") == IMAGE_TOKENS
 
 
 def test_fuse_no_subjects():
-    _, provenance, counts = fuse_t(PromptSpec("a cat sits", []), toy_encoder(0))
+    _, provenance, counts = fused(PromptSpec("a cat sits", []), toy_encoder(0))
     assert list(counts) == [1, 1, 1]
     assert provenance.count("sep") == 0
     assert all(p == "text" for p in provenance)
@@ -86,8 +98,8 @@ def test_fuse_no_subjects():
 
 def test_image_block_deterministic():
     enc = toy_encoder(3)
-    a, ca = enc.encode_image_t(img(5))
-    b, cb = enc.encode_image_t(img(5))
+    a, ca = image_rows(enc, img(5))
+    b, cb = image_rows(enc, img(5))
     np.testing.assert_array_equal(a.data, b.data)
     np.testing.assert_array_equal(ca, cb)
     assert a.shape == (len(ca), enc.d_text) and ca.sum() == IMAGE_TOKENS
@@ -103,20 +115,20 @@ def test_one_pixel_change_hits_containing_cell():
     cell = (10 * 24 // 48) * 24 + (33 * 24 // 48)
     assert cell in changed
     # the bumped cell's colour is new, so the encoder gains a row for it
-    rows = {tuple(r) for r in enc.encode_image_t(base)[0].data}
-    bumped_rows = {tuple(r) for r in enc.encode_image_t(bumped)[0].data}
+    rows = {tuple(r) for r in image_rows(enc, base)[0].data}
+    bumped_rows = {tuple(r) for r in image_rows(enc, bumped)[0].data}
     assert bumped_rows - rows
 
 
 def test_encode_text_empty():
-    assert toy_encoder(0).encode_text_t([]).shape == (0, 128)
+    assert fused(PromptSpec("", []), toy_encoder(0))[0].shape == (0, 128)
 
 
 def test_swapping_subjects_permutes_blocks():
     a, b = img(1), img(2)
     enc = toy_encoder(0)
-    e1, p1, c1 = fuse_t(PromptSpec("x", [("p", a), ("q", b)]), enc)
-    e2, p2, c2 = fuse_t(PromptSpec("x", [("q", b), ("p", a)]), enc)
+    e1, p1, c1 = fused(PromptSpec("x", [("p", a), ("q", b)]), enc)
+    e2, p2, c2 = fused(PromptSpec("x", [("q", b), ("p", a)]), enc)
     i1 = [i for i, p in enumerate(p1) if p.startswith("image-1")]
     i2 = [i for i, p in enumerate(p2) if p.startswith("image-2")]
     np.testing.assert_array_equal(e1.data[i1], e2.data[i2])
@@ -130,7 +142,7 @@ def test_swapping_subjects_permutes_blocks():
 def test_any_image_size_yields_576_tokens():
     enc = toy_encoder(0)
     for size in (8, 24, 30, 64):
-        rows, counts = enc.encode_image_t(img(0, size=size))
+        rows, counts = image_rows(enc, img(0, size=size))
         assert rows.shape[0] == len(counts) and counts.sum() == IMAGE_TOKENS
 
 
@@ -149,7 +161,7 @@ def flat_sprite(seed=0, size=48):
 def test_image_rows_are_the_distinct_pooled_colours_with_their_cell_counts():
     enc = toy_encoder(4)
     image = flat_sprite(3)
-    rows, counts = enc.encode_image_t(image)
+    rows, counts = image_rows(enc, image)
     pooled = adaptive_pool_image(image.data[0]).reshape(IMAGE_TOKENS, 3).astype(np.float32)
     full = pooled @ enc.store["encoder.image.w"].data + enc.store["encoder.image.b"].data
     # every cell's feature is one of the rows, found as often as its count says
@@ -166,7 +178,7 @@ def test_fused_rows_keep_the_template_order(template):
     enc = toy_encoder(0)
     spec = PromptSpec("a red circle and a blue square",
                       [("circle", flat_sprite(1)), ("square", flat_sprite(2))], template)
-    emb, provenance, counts = fuse_t(spec, enc)
+    emb, provenance, counts = fused(spec, enc)
     # runs of one tag, in the order of the template's tokens
     runs = [p for i, p in enumerate(provenance) if i == 0 or p != provenance[i - 1]]
     expected = [tag if tag != "image" else f"image-{value}"
@@ -174,7 +186,7 @@ def test_fused_rows_keep_the_template_order(template):
     expected = [p for i, p in enumerate(expected) if i == 0 or p != expected[i - 1]]
     assert runs == expected
     assert counts.sum() == len(_template_tokens(spec)) + 2 * (IMAGE_TOKENS - 1)
-    text_only, text_provenance, text_counts = fuse_t(spec, enc, include_images=False)
+    text_only, text_provenance, text_counts = fused(spec, enc, include_images=False)
     keep = [i for i, p in enumerate(provenance) if not p.startswith("image-")]
     np.testing.assert_array_equal(text_only.data, emb.data[keep])
     assert text_provenance == [provenance[i] for i in keep]
@@ -219,7 +231,7 @@ def _crc32_twin(image: PixelVideo, slot: int, value: float, free: int) -> PixelV
 
 def test_pool_cache_tells_apart_images_with_one_crc32():
     # a forged CRC32 twin that differs in two pixels' values must still get
-    # its own distinct colours, not those of the image cached before it
+    # its own distinct colours, not those of the image prepared before it
     image = flat_sprite(5, size=64)
     twin = None
     for k in range(1, 200):
@@ -229,8 +241,8 @@ def test_pool_cache_tells_apart_images_with_one_crc32():
     assert twin is not None
     assert not np.array_equal(twin.data, image.data)
     enc = toy_encoder(0)
-    enc.encode_image_t(image)
-    rows, counts = enc.encode_image_t(twin)
-    want_rows, want_counts = toy_encoder(0).encode_image_t(twin)
+    image_rows(enc, image)
+    rows, counts = image_rows(enc, twin)
+    want_rows, want_counts = image_rows(toy_encoder(0), twin)
     np.testing.assert_array_equal(counts, want_counts)
     np.testing.assert_array_equal(rows.data, want_rows.data)

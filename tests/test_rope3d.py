@@ -6,7 +6,9 @@ from hcustom import autograd as ag
 from hcustom.backbone import BackboneConfig
 from hcustom.errors import ConfigError
 from hcustom.rope3d import (RopeConfig, apply_rotation, half_swap, identity_positions,
-                            rotate, rotation_tables, sequence_positions, video_positions)
+                            rotation_tables, sequence_positions, video_positions)
+
+from conftest import rotate
 
 CFG = RopeConfig(head_dim=32)
 rng = np.random.default_rng(7)

@@ -109,6 +109,18 @@ def test_multi_subject_dataset_distinct_descriptors(tmp_path):
         assert len(set(s.descriptors)) == 2
 
 
+@pytest.mark.parametrize("subjects", [3, 4])
+def test_every_sample_of_up_to_four_subjects_has_distinct_descriptors(tmp_path, subjects):
+    # 80 samples of 4 subjects take more identities than the pool's 288
+    generate_dataset(tmp_path / "m", count=80, seed=1, scene=SceneParams(frames=1, size=9),
+                     subjects_per_sample=subjects)
+    samples = load_dataset(tmp_path / "m")
+    assert len(samples) == 80
+    for s in samples:
+        assert sorted(set(s.descriptors)) == sorted(s.descriptors)
+        assert len(s.identities) == subjects
+
+
 # -- pipeline procedures -------------------------------------------------------
 
 

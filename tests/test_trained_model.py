@@ -36,8 +36,8 @@ def test_identity_tokens_matter_on_trained_checkpoint(identity_ablation_runs):
         cos, sin = rotation_tables(sequence_positions(0, ps.frames, ps.width, ps.height),
                                    model.config.backbone.rope(),
                                    dtype=model.store.dtype)
-        ps_stripped = dataclasses.replace(ps, id_tokens=ps.id_tokens[:0], n_subjects=0,
-                                          rope_cos=cos, rope_sin=sin)
+        ps_stripped = dataclasses.replace(ps, id_tokens=ps.id_tokens[:0], rope_cos=cos,
+                                          rope_sin=sin)
         stripped = model.velocity_t(ps_stripped, ag.Tensor(z), 0.5).data
     assert np.abs(full - stripped).max() > 1e-5
 
