@@ -27,7 +27,7 @@ from .latent_codec import (CodecConfig, LatentCodec, PixelVideo, tokenize, train
 from .model import (CustomVideoModel, LatentStats, ModelConfig, PreparedSample,
                     save_checkpoint)
 from .prompt_fusion import PromptSpec, Template
-from .synth_data import TrainSample, load_dataset
+from .synth_data import TrainSample, dataset_paths, load_sample
 from .video_inject import ConditionVideo
 
 TASKS = ("t2v", "single_subject", "multi_subject", "audio_custom", "video_custom")
@@ -269,6 +269,17 @@ def codec_training_set(samples: list[TrainSample]):
     return videos, masks
 
 
+def _check_frame_sizes(paths, samples, factor):
+    """Raise ConfigError naming the first sample file whose video or identity
+    image the codec cannot encode: its height and width must be multiples
+    of the spatial factor."""
+    for path, s in zip(paths, samples):
+        for video in [s.video] + s.identity_images:
+            if video.height % factor or video.width % factor:
+                raise ConfigError("codec.spatial_factor", f"{factor} does not divide the "
+                                  f"{video.height}x{video.width} frames of {path}")
+
+
 def run_training(cfg: dict, log=None, codec: LatentCodec | None = None) -> dict:
     """Stage A: codec; stage B: flow model.  Returns artifact paths.
 
@@ -281,7 +292,9 @@ def run_training(cfg: dict, log=None, codec: LatentCodec | None = None) -> dict:
     model_config, codec_config = model_config_from(cfg), codec_config_from(cfg)
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    samples = load_dataset(cfg["dataset"])
+    paths = dataset_paths(cfg["dataset"])
+    samples = [load_sample(p) for p in paths]
+    _check_frame_sizes(paths, samples, codec_config.spatial_factor)
     c = cfg["codec"]
     if codec is None:
         codec = LatentCodec(codec_config)

@@ -15,6 +15,7 @@ al. 2021), which `apply_rotation` computes as one tape op over
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,8 +71,10 @@ def _pair_angles(positions: np.ndarray, config: RopeConfig) -> np.ndarray:
     return np.concatenate(chunks, axis=1)
 
 
+@functools.cache
 def _channel_layout(config: RopeConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per channel: its pair index, the sign of its sin term, and its partner.
+    """Per channel: its pair index, the sign of its sin term, and its partner,
+    built once per config and read-only.
 
     Within an axis segment of size d_a, channel i < d_a/2 pairs with channel
     i + d_a/2 (first half u, second half v), and the pair rotates as
@@ -88,7 +91,10 @@ def _channel_layout(config: RopeConfig) -> tuple[np.ndarray, np.ndarray, np.ndar
         swap += [lo + half, lo]
         offset += da
         first += half
-    return np.concatenate(pair), np.concatenate(sign), np.concatenate(swap)
+    layout = np.concatenate(pair), np.concatenate(sign), np.concatenate(swap)
+    for a in layout:
+        a.flags.writeable = False
+    return layout
 
 
 def rotation_tables(positions: np.ndarray, config: RopeConfig, dtype=np.float64):

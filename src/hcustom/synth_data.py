@@ -169,35 +169,66 @@ def shape_distance(shape: str, xs: np.ndarray, ys: np.ndarray, radius: float) ->
     raise ValueError(f"unknown shape {shape!r}")
 
 
+def _alpha(shape, xs, ys, radius):
+    # 0 wherever the signed distance is >= 0.6
+    return np.clip(0.5 - shape_distance(shape, xs, ys, radius) / 1.2, 0.0, 1.0)
+
+
 def render_sprite_alpha(shape: str, center: tuple[float, float], radius: float,
                         height: int, width: int) -> np.ndarray:
     ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)
-    xs = xs - center[0]
-    ys = ys - center[1]
-    d = shape_distance(shape, xs, ys, radius)
-    return np.clip(0.5 - d / 1.2, 0.0, 1.0)
+    return _alpha(shape, xs - center[0], ys - center[1], radius)
+
+
+def sprite_window(center, radius, height, width) -> tuple[slice, slice]:
+    """Rows and columns of the pixels at most radius + 1.2 from the centre
+    on both axes, within the frame.  Outside them every shape's alpha is 0:
+    each shape grows by 0.6 where its alpha ends, and the triangle's apex,
+    where two edges meet at 60 degrees, moves out by 1.2, to radius + 1.2."""
+    reach = radius + 1.2
+
+    def span(c, n):
+        return slice(min(max(int(np.ceil(c - reach)), 0), n),
+                     max(min(int(np.floor(c + reach)) + 1, n), 0))
+
+    return span(center[1], height), span(center[0], width)
+
+
+def _palette(identity: SpriteIdentity) -> np.ndarray:
+    """The sprite's colours, [k, 3]: one for a flat texture, else three,
+    row s + 1 where the sign of the stripe or ring wave is s."""
+    value = np.array([0.95]) if identity.texture == "flat" else 0.95 * (
+        0.85 + 0.15 * np.array([-1.0, 0.0, 1.0]))
+    return _hsv_to_rgb(np.full(len(value), identity.hue), 0.85, value)
 
 
 def render_identity_frame(identity: SpriteIdentity, size: int = 64) -> np.ndarray:
     """Clean centered render on a flat mid-gray background."""
     frame = np.full((size, size, 3), 0.5, dtype=np.float64)
-    return _composite_sprite(frame, identity, (size / 2, size / 2),
-                             identity.size / 2.0)[0].astype(np.float32)
+    mask = np.zeros((size, size), dtype=np.uint8)
+    _composite_sprite(frame, mask, identity, _palette(identity), (size / 2, size / 2),
+                      identity.size / 2.0)
+    return frame.astype(np.float32)
 
 
-def _composite_sprite(frame, identity, center, radius):
-    h, w = frame.shape[:2]
-    alpha = render_sprite_alpha(identity.shape, center, radius, h, w)
-    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
-    value = np.full((h, w), 0.95)
-    if identity.texture == "striped":
-        value *= 0.85 + 0.15 * np.sign(np.sin((xs - center[0]) * np.pi / 4.0))
-    elif identity.texture == "ringed":
-        rho = np.hypot(xs - center[0], ys - center[1])
-        value *= 0.85 + 0.15 * np.sign(np.sin(rho * np.pi / 3.0))
-    color = _hsv_to_rgb(np.full((h, w), identity.hue), np.full((h, w), 0.85), value)
-    out = frame * (1 - alpha[..., None]) + color * alpha[..., None]
-    return out, alpha > 0.5
+def _composite_sprite(frame, mask, identity, palette, center, radius):
+    """Blend the sprite into `frame` [H, W, 3] and OR its alpha > 0.5 into
+    `mask` [H, W], in place, on the sprite's window only."""
+    rows, cols = sprite_window(center, radius, *frame.shape[:2])
+    ys, xs = np.mgrid[rows, cols].astype(np.float64)
+    xs -= center[0]
+    ys -= center[1]
+    alpha = _alpha(identity.shape, xs, ys, radius)[..., None]
+    if identity.texture == "flat":
+        color = palette[0]
+    else:
+        wave = xs * np.pi / 4.0 if identity.texture == "striped" else (
+            np.hypot(xs, ys) * np.pi / 3.0)
+        color = palette[np.sign(np.sin(wave)).astype(np.intp) + 1]
+    window = frame[rows, cols]
+    window *= 1 - alpha
+    window += color * alpha
+    mask[rows, cols] |= alpha[..., 0] > 0.5
 
 
 def _background(rng, frames, size):
@@ -256,12 +287,12 @@ def generate_sample(identity, scene: SceneParams = SceneParams(),
     masks = np.zeros((frames, size, size), dtype=np.uint8)
     margin = max(i.size for i in identities) * 0.75
     for ident in identities:
+        palette = _palette(ident)
         pos = rng.uniform(margin, size - margin, size=2)
         for k in range(frames):
             scale = 1.0 + scene.audio_depth * (env[k] - 0.5) * 2.0
             radius = ident.size / 2.0 * scale
-            video[k], mask = _composite_sprite(video[k], ident, tuple(pos), radius)
-            masks[k] |= mask
+            _composite_sprite(video[k], masks[k], ident, palette, tuple(pos), radius)
             pos = np.clip(pos + rng.normal(0, scene.walk_step, size=2),
                           margin, size - margin)
     return TrainSample(
@@ -366,10 +397,15 @@ def generate_dataset(out_dir, count: int, seed: int,
     return paths
 
 
-def load_dataset(path) -> list[TrainSample]:
+def dataset_paths(path) -> list[str]:
+    """The sample files of a `generate_dataset` directory, in manifest order."""
     with open(os.path.join(path, "manifest.json")) as f:
         manifest = json.load(f)
-    return [load_sample(os.path.join(path, name)) for name in manifest["samples"]]
+    return [os.path.join(path, name) for name in manifest["samples"]]
+
+
+def load_dataset(path) -> list[TrainSample]:
+    return [load_sample(p) for p in dataset_paths(path)]
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,21 @@ def test_bad_config_value_exits_2_before_codec_training(workspace, tmp_path, cap
     assert f"config error: {key}:" in err
 
 
+def test_frames_the_codec_cannot_encode_exit_2_before_codec_training(workspace, tmp_path,
+                                                                     capsys):
+    _, _, cfg_path = workspace
+    data = tmp_path / "data12"
+    assert main(["gen-data", "--count", "2", "--seed", "1", "--out", str(data),
+                 "--frames", "5", "--size", "12"]) == 0
+    args = ["train", "--config", str(cfg_path), "--set", f"dataset={data}",
+            "--set", f"out_dir={tmp_path / 'run'}"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert '"stage": "codec"' not in err
+    assert "config error: codec.spatial_factor: 8 does not divide the 12x12 frames" in err
+    assert "sample_00000.hc" in err
+
+
 @pytest.mark.parametrize("override,key", [
     ("seeed=1", "seeed"), ("ablaton.fusion_images=false", "ablaton"),
     ("train.stpes=5", "train.stpes"), ("ablation.fusion_imagse=false", "ablation.fusion_imagse"),

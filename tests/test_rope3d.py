@@ -161,3 +161,11 @@ def test_rotation_tables_are_full_width():
     # each pair's two channels share a cos and carry opposite sines
     np.testing.assert_array_equal(cos, cos[:, half_swap(CFG)])
     np.testing.assert_array_equal(sin, -sin[:, half_swap(CFG)])
+
+
+def test_the_channel_layout_is_built_once_per_config():
+    swap = half_swap(RopeConfig(head_dim=CFG.head_dim))
+    assert swap is half_swap(CFG)  # an equal frozen config shares it
+    assert not swap.flags.writeable
+    assert half_swap(RopeConfig(head_dim=2 * CFG.head_dim)) is not swap
+    np.testing.assert_array_equal(swap[swap], np.arange(CFG.head_dim))

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import asdict
 
 import numpy as np
@@ -6,12 +7,14 @@ import pytest
 from hcustom.container import load_container, save_container
 from hcustom.errors import InfeasibleCropError
 from hcustom.latent_codec import PixelVideo
-from hcustom.synth_data import (AnnotationRecord, BBox, SceneParams,
-                                SpriteIdentity, augment_mask,
+from hcustom.synth_data import (SHAPES, TEXTURES, AnnotationRecord, BBox,
+                                SceneParams, SpriteIdentity, augment_mask,
                                 crop_with_coverage, filter_clips,
                                 generate_dataset, generate_sample,
-                                load_dataset, load_sample, save_sample,
-                                select_main_subject, standardize_resolution,
+                                load_dataset, load_sample,
+                                render_identity_frame, render_sprite_alpha,
+                                save_sample, select_main_subject,
+                                sprite_window, standardize_resolution,
                                 union_box, validate_bbox_size,
                                 validate_face_in_body)
 
@@ -47,6 +50,102 @@ def test_mask_matches_renderer_alpha():
         inter = np.logical_and(s.masks[k], again.masks[k]).sum()
         union = np.logical_or(s.masks[k], again.masks[k]).sum()
         assert inter == union  # IoU exactly 1
+
+
+def _rendered_arrays(kind, *args):
+    """Every array `generate_sample` returns for one case, or one identity
+    render larger than its 16x16 frame (kind "frame")."""
+    if kind == "frame":
+        shape, texture = args
+        return [render_identity_frame(SpriteIdentity(shape, 9, texture, size=24), 16)]
+    if kind == "sprite":
+        shape, texture, size = args
+        idents = [SpriteIdentity(shape, 5, texture, size=max(round(size * 0.46), 6))]
+    else:
+        subjects, size = args
+        idents = [SpriteIdentity(SHAPES[k], 3 * k + 1, TEXTURES[k % 3],
+                                 size=max(round(size * (0.34, 0.46)[k % 2]), 5 + k % 2))
+                  for k in range(subjects)]
+    s = generate_sample(idents, SceneParams(frames=5, size=size), seed=size + len(idents))
+    return [s.video.data, s.audio.data, s.masks] + [i.data for i in s.identity_images]
+
+
+# sha256 over each array's dtype, shape and bytes.  At size 9 every sprite
+# is cut by the frame edge.
+RENDER_DIGESTS = {
+    ('sprite', 'circle', 'flat', 9): "cee750f9008999c1e9755b7ed3f6154f22a66a409a993563e1013abfa2eb91fa",
+    ('sprite', 'circle', 'flat', 64): "39c76bfe7aee22dce9b017da61860dd01fca380043f4c356cd65500f542c7a18",
+    ('sprite', 'circle', 'striped', 9): "d1fa4405dc9d36b2891c21d141a7cc85c0bf94f7b6a0fc363ffe8cec9699e10a",
+    ('sprite', 'circle', 'striped', 64): "2085cb9311dac0d0902d7e5c38b99fc61af26e670afd9746881499bd1cdf3a32",
+    ('sprite', 'circle', 'ringed', 9): "895357c348a583425d0d9a824dc07c554723edde802e682c9c7572079ad82d21",
+    ('sprite', 'circle', 'ringed', 64): "8567257243cb0a21b2bbbd088a529991884bad82a0f2708696bca588580a4c32",
+    ('sprite', 'square', 'flat', 9): "efaea6b33bae81d4322021dc220428ce2c8dccca07062f3127490d774282ce2c",
+    ('sprite', 'square', 'flat', 64): "cb0d03e4234cab6b367e8cf28da1c7f792503ce61f08fd548dcac51326839e64",
+    ('sprite', 'square', 'striped', 9): "bf9895a79342240b2236ca5c30b864e39e279751b707f67e0388c994b7a000a9",
+    ('sprite', 'square', 'striped', 64): "3ab8b65f548031b7f81f5fa16291d0619314b8c3c77974e07ae7d116372cb462",
+    ('sprite', 'square', 'ringed', 9): "6ae132f4ceb4374dd64ad84f3097a0631ace8f736eb73a3367595b64bdb7ef50",
+    ('sprite', 'square', 'ringed', 64): "2ef3eb5a994fce8884b3e67e3e84943743ed82d0aae646bfb29395a5d2b1323c",
+    ('sprite', 'triangle', 'flat', 9): "9d90ebcd2d47a63b442748757569684ca356cc0a0fec10072db543f18903a9bb",
+    ('sprite', 'triangle', 'flat', 64): "ea20af414628ce2843eacd94f9db13f47fe92c82f367171cf1cce8c31cabdd26",
+    ('sprite', 'triangle', 'striped', 9): "0d1bc3c2716883cecf2a1242fa4b5d644b7f47751dff6854f9b7bbb2a5de71b2",
+    ('sprite', 'triangle', 'striped', 64): "40f1145e1f2124c58d04f8f3edd089e0705e3377b176f55fcf2bfae90270b2df",
+    ('sprite', 'triangle', 'ringed', 9): "9d90ebcd2d47a63b442748757569684ca356cc0a0fec10072db543f18903a9bb",
+    ('sprite', 'triangle', 'ringed', 64): "7fb63745baea81ad00f0489666c99ccdef96b51624ec920aab4be423e047f2fc",
+    ('sprite', 'star', 'flat', 9): "0320010c9d36b28611a0d44bd51611ec070ca5392a153850119f85aa8d5569fe",
+    ('sprite', 'star', 'flat', 64): "6e312d0dc241a51eb92d4e9beb236384b99a6d929e1305c021b68d4f707f5216",
+    ('sprite', 'star', 'striped', 9): "b1014f2bcc8489310ba5b926a8069bedc1ff9a86f5d8e311535cc8e500be9926",
+    ('sprite', 'star', 'striped', 64): "6806c77b1bd7b7e870d7ebad247498583725dbc833a330905b920668ca282a8a",
+    ('sprite', 'star', 'ringed', 9): "0320010c9d36b28611a0d44bd51611ec070ca5392a153850119f85aa8d5569fe",
+    ('sprite', 'star', 'ringed', 64): "5d29fe0f49aa1f21d6d83366afff7e2a984101376951f010f8ebbdddac87d763",
+    ('subjects', 1, 9): "5f80260bf9a59c724ef944b3d432d9ad94012e84dedf85b469fbf3941697a659",
+    ('subjects', 1, 64): "9abc4738de9ef299b1df85f875fa2d649f0ce65dc7768853af0a37e08fac9bde",
+    ('subjects', 2, 9): "823b7b8a6749dafde8f0105044cb75473f35edfd7756d91f44d96c7b5fcb64a2",
+    ('subjects', 2, 64): "a0245d563cb777dfba35ceb6d95d3d639ab79738fa4471e5ec292493a328f31b",
+    ('subjects', 3, 9): "cd41ee02c8e48d0839bea68d4238c83eb76823fe9a51d4f9dd8a019e3ab0e56d",
+    ('subjects', 3, 64): "d6347f84c7c8d5ced7e3a0d173f647ad4d57b2816d3a98b1a3ab747599653251",
+    ('subjects', 4, 9): "4cf4a7637b7b0e2774c0060eab3dc63d9e40c04652d5c90281bccf3ed7fbca95",
+    ('subjects', 4, 64): "09bc4192c9695930572c40a42cc6326ec59e3e2335052fe5df24fdcef855ff1a",
+    ('frame', 'circle', 'flat'): "0676ef9e4265c5ae56836474351d559e14bc6809e7e83672cea79c1dbf897074",
+    ('frame', 'circle', 'striped'): "3b8bb167f65713ce981e55521fdb00eb4b5db1e723043f79fe472eda5a688f97",
+    ('frame', 'circle', 'ringed'): "f086e53091aa172a3e1123e801e318c33e696867074133bfe11eab0bfd2820fa",
+    ('frame', 'square', 'flat'): "0676ef9e4265c5ae56836474351d559e14bc6809e7e83672cea79c1dbf897074",
+    ('frame', 'square', 'striped'): "3b8bb167f65713ce981e55521fdb00eb4b5db1e723043f79fe472eda5a688f97",
+    ('frame', 'square', 'ringed'): "f086e53091aa172a3e1123e801e318c33e696867074133bfe11eab0bfd2820fa",
+    ('frame', 'triangle', 'flat'): "0c75f3ca381d11d903845c8417489913ae853bc7da1e261ec93ecd531168a40f",
+    ('frame', 'triangle', 'striped'): "eb9f115e9a5d96912540c246ab2f2f91aebd5b498eccbbefe1205ba1c323ebf0",
+    ('frame', 'triangle', 'ringed'): "39dd8f75e8bf63095611643da6035ae6194155ae9f797304f96150135607a31a",
+    ('frame', 'star', 'flat'): "3a07198fbbe95b90a2681695b89faf04d4bce1838262a24bb1542c6088994b2c",
+    ('frame', 'star', 'striped'): "c3afa0f6fe13f8f5028744eb053efbc7832c1105aff0c66e0ea2fc84918e7879",
+    ('frame', 'star', 'ringed'): "86ed6cd1b80f543bcc4079167459e619fd49c4a7ca488c11d3f3b06812a6ee65",
+}
+
+
+@pytest.mark.parametrize("case", list(RENDER_DIGESTS),
+                         ids=lambda c: "-".join(map(str, c)))
+def test_rendered_arrays_keep_their_bits(case):
+    h = hashlib.sha256()
+    for a in _rendered_arrays(*case):
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    assert h.hexdigest() == RENDER_DIGESTS[case]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_alpha_is_zero_outside_the_sprite_window(shape):
+    # the radii generate_sample draws: identity sizes 5..29 (scenes 9..64)
+    # over half, times 1 -/+ audio_depth
+    depth = SceneParams().audio_depth
+    radii = np.linspace(2.5 * (1 - depth), 14.5 * (1 + depth), 23)
+    centres = [(31.0, 31.0), (20.37, 40.81), (0.4, 63.2), (63.9, 2.5)]
+    for radius in radii:
+        reach = radius + 1.2
+        # a pixel just inside the triangle's apex, 1e-6 short of the reach
+        apex = [(32.0, 20 + reach - 1e-6), (32.0, 20.5 + reach - 1e-6)]
+        for centre in centres + apex:
+            alpha = render_sprite_alpha(shape, centre, radius, 64, 64)
+            rows, cols = sprite_window(centre, radius, 64, 64)
+            alpha[rows, cols] = 0.0
+            assert not alpha.any(), (shape, radius, centre)
 
 
 def test_sample_roundtrip(tmp_path):
