@@ -13,8 +13,8 @@ Tape: a `Tensor` is an array and a `Node`; ops link the nodes, and every
 VJP closure holds arrays, shapes and flags, never a tensor, so an
 activation lives only while the forward code or a VJP holds it.  No op
 keeps what its VJP can rebuild cheaply: `matmul` forms w * scale in each
-pass, and `gelu_matmul` keeps only its input.  `layer_norm` only
-normalises: the backbone folds the affine parameters and its timestep
+pass, and `mlp`, a whole feed-forward, keeps only its input.  `layer_norm`
+only normalises: the backbone folds the affine parameters and its timestep
 modulation into the linear layers around it, as `matmul`'s `scale`.
 `split` cuts one array into views whose gradients are written into one
 buffer.
@@ -24,8 +24,8 @@ tile of at most `_TILE` score elements at a time and keeps one log-sum-exp
 per row for the backward pass, which recomputes each tile.  An untaped
 `conv2d` builds its im2col columns in chunks of frames of at most `_TILE`
 elements; a taped call keeps all of them, for its VJP.  `matmul` adds a
-bias in place, so a linear layer is one tape op.  `gelu_matmul` runs its
-GELU in row blocks whose working arrays total at most `_TILE` elements.
+bias in place, so a linear layer is one tape op.  `mlp` runs its GELU in
+row blocks whose working arrays total at most `_TILE` elements.
 
 Time: `attention` works on base-2 scores with exp2.  When one Cauchy-Schwarz
 bound per call proves every score within +-64, it skips the row-max pass;
@@ -64,7 +64,7 @@ _EXP2_FLOOR = -100.0
 
 # Elements in one working tile: an attention score tile (see `attention`),
 # the im2col columns of one frame chunk of an untaped `conv2d`, or the
-# working arrays of one row block of `gelu_matmul`'s GELU.
+# working arrays of one row block of `mlp`'s GELU.
 _TILE = 1 << 18
 
 
@@ -230,7 +230,7 @@ def mul(a, b):
 
 
 def _folded(wd, sd):
-    """The weight w * scale of `matmul` and `gelu_matmul`; w itself without a scale."""
+    """The weight w * scale of `matmul` and `mlp`; w itself without a scale."""
     return wd if sd is None else wd * sd
 
 
@@ -335,8 +335,8 @@ def gelu(a):
     within 5.4e-7 of Phi(x) + x phi(x).  With u = |x| and u p t = 1 - t,
     d = 1/2 + sign(x) (1/2 - V), where V = T + u T'(u) = e b(t) - x^2 T
     reuses e = exp(-x^2 / 2) and t.  Under `no_grad` no derivative is
-    computed.  An MLP's activation and the linear layer after it are one op,
-    `gelu_matmul`, which keeps neither the output nor d.
+    computed.  An MLP's two linear layers and its activation are one op,
+    `mlp`, which keeps none of the pre-activation, the output and d.
     """
     x = a.data
     y = np.empty_like(x)
@@ -344,48 +344,64 @@ def gelu(a):
     return _make(y, (a,), lambda g: (g * d,))
 
 
-def gelu_matmul(u, w, bias=None, scale=None):
-    """gelu(u) @ (w * scale) + bias as one tape op: an MLP's second layer.
+def mlp(x, w1, bias1, scale1, w2, bias2, scale2):
+    """gelu(x @ (w1 * scale1) + bias1) @ (w2 * scale2) + bias2 as one tape op:
+    a whole feed-forward.  Each bias and scale may be None.
 
-    The same function as `matmul(gelu(u), w, bias, scale)`, with the same
-    arithmetic, but the tape keeps only u (and the parameters): the VJP
-    rebuilds gelu(u) and its derivative (gradient checkpointing, Chen et
-    al., arXiv 1604.06174).  Both passes run the GELU kernel over blocks
-    of rows whose working arrays (the rows of u and of gelu(u), the
-    kernel's temporary and the derivative) total at most `_TILE`
-    elements, so they stay small, and write gelu(u) into one u-sized
-    buffer, so the product and the weight gradient each stay one matrix
-    product.  Backward, the gradient of gelu(u), g (w * scale)^T, is
-    multiplied by the derivative one block at a time.
+    The same function as `matmul` then `gelu` then `matmul`, with the same
+    arithmetic, but the tape keeps only x (and the parameters): the VJP
+    rebuilds the pre-activation u with the forward's product, then gelu(u)
+    and its derivative (gradient checkpointing, Chen et al., arXiv
+    1604.06174).  Both passes run the GELU kernel over blocks of rows whose
+    working arrays (the rows of u and of gelu(u), the kernel's temporary
+    and the derivative) total at most `_TILE` elements, so they stay small,
+    and write gelu(u) into one u-sized buffer, so each product and each
+    weight gradient stays one matrix product.  Backward, the gradient of
+    gelu(u), g (w2 * scale2)^T, is multiplied by the derivative one block
+    at a time, and u and gelu(u) are freed before the first layer's
+    gradients are formed.
     """
-    ud, wd = u.data, w.data
-    sd = None if scale is None else scale.data
-    u2 = ud.reshape(-1, ud.shape[-1])
-    blocks = _row_blocks(u2.shape[0], 4 * u2.shape[1])
+    xd, w1d, w2d = x.data, w1.data, w2.data
+    s1d = None if scale1 is None else scale1.data
+    s2d = None if scale2 is None else scale2.data
+    x2 = xd.reshape(-1, xd.shape[-1])
+    b1d = None if bias1 is None else bias1.data
+    blocks = _row_blocks(x2.shape[0], 4 * w1d.shape[-1])
 
-    def activation(gh):
-        # gelu(u) in one u-sized buffer; given gh, also gh *= its derivative
-        h = np.empty_like(u2)
+    def pre_activation():
+        u = x2 @ _folded(w1d, s1d)
+        if b1d is not None:
+            u += b1d
+        return u
+
+    def activation(u, gu):
+        # gelu(u) in one u-sized buffer; given the gradient of gelu(u) as gu,
+        # also gu *= its derivative, which makes gu the gradient of u
+        h = np.empty_like(u)
         for r in blocks:
-            d = _gelu_into(u2[r], h[r], gh is not None)
-            if gh is not None:
-                gh[r] *= d
+            d = _gelu_into(u[r], h[r], gu is not None)
+            if gu is not None:
+                gu[r] *= d
         return h
 
-    data = (activation(None) @ _folded(wd, sd)).reshape(ud.shape[:-1] + wd.shape[-1:])
-    if bias is not None:
-        data += bias.data
-    need_gu = u.requires_grad
-    bias_shape = None if bias is None else bias.data.shape
+    data = (activation(pre_activation(), None) @ _folded(w2d, s2d)).reshape(
+        xd.shape[:-1] + w2d.shape[-1:])
+    if bias2 is not None:
+        data += bias2.data
+    need_gx = x.requires_grad
+    b1_shape = None if bias1 is None else bias1.data.shape
+    b2_shape = None if bias2 is None else bias2.data.shape
 
     def vjp(g):
-        g2 = g.reshape(-1, wd.shape[-1])
-        gh = g2 @ _folded(wd, sd).T if need_gu else None
-        h = activation(gh)
-        gu = None if gh is None else gh.reshape(ud.shape)
-        return (gu,) + _weight_grads(h, g2, wd, sd, bias_shape)
+        g2 = g.reshape(-1, w2d.shape[-1])
+        gu = g2 @ _folded(w2d, s2d).T
+        h = activation(pre_activation(), gu)
+        grads2 = _weight_grads(h, g2, w2d, s2d, b2_shape)
+        del h
+        gx = (gu @ _folded(w1d, s1d).T).reshape(xd.shape) if need_gx else None
+        return (gx,) + _weight_grads(x2, gu, w1d, s1d, b1_shape) + grads2
 
-    parents = tuple(t for t in (u, w, bias, scale) if t is not None)
+    parents = tuple(t for t in (x, w1, bias1, scale1, w2, bias2, scale2) if t is not None)
     return _make(data, parents, vjp)
 
 

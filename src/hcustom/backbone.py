@@ -17,9 +17,10 @@ kept.  The result is the unfolded one in real arithmetic, and no [L, d]
 array is written for the modulation.
 
 What the tape keeps per block: the three layer-norm outputs, the rotated
-q and k, the self-attention v, the cross-attention q, the two attention
-outputs (their merged heads are views of them) and the MLP's pre-activation,
-which `ag.gelu_matmul` turns into the gated second layer.
+q and k, the self-attention v, the cross-attention q and the two attention
+outputs (their merged heads are views of them).  The feed-forward is one
+op, `ag.mlp`, which keeps only the third norm's output, already kept by
+that norm, and rebuilds its 4x-wide pre-activation in backward.
 """
 
 from __future__ import annotations
@@ -126,10 +127,10 @@ class Backbone:
         x = ag.transpose(x, (1, 0, 2))
         return ag.reshape(x, (length, self.config.width))
 
-    def _norm_linear(self, x: ag.Tensor, ln: str, w: str, bias: str,
-                     shift: ag.Tensor | None = None,
-                     scale: ag.Tensor | None = None) -> ag.Tensor:
-        """The linear layer (`w`, `bias`) of the layer norm `ln` of x, modulated.
+    def _norm_fold(self, ln: str, w: str, bias: str, shift: ag.Tensor | None = None,
+                   scale: ag.Tensor | None = None):
+        """The weight, bias and [d, 1] gain of the linear layer (`w`, `bias`)
+        that reads the layer norm `ln`, modulated, as `ag.matmul` takes them.
 
         With xh = layer_norm(x), (xh γ + β)(1 + scale) + shift, then @ W + b,
         is one product: xh @ (diag(γ (1 + scale)) W) + ((β (1 + scale) + shift)
@@ -144,15 +145,21 @@ class Backbone:
             s1 = ag.add(scale, 1.0)
             gain = ag.mul(gain, s1)
             offset = ag.add(ag.mul(offset, s1), shift)
-        return ag.matmul(ag.layer_norm(x), wt, ag.matmul(offset, wt, st[bias]),
-                         ag.reshape(gain, (-1, 1)))
+        return wt, ag.matmul(offset, wt, st[bias]), ag.reshape(gain, (-1, 1))
 
-    def _gated_linear(self, h: ag.Tensor, w: str, bias: str, gate: ag.Tensor,
-                      gelu: bool = False) -> ag.Tensor:
-        """(h @ W + b) * gate as one product: h @ (W gate) + b gate, with the
-        [1, k] gate as `matmul`'s scale; of gelu(h) when `gelu` (the MLP)."""
-        linear = ag.gelu_matmul if gelu else ag.matmul
-        return linear(h, self.store[w], ag.mul(self.store[bias], gate), gate)
+    def _norm_linear(self, x: ag.Tensor, ln: str, w: str, bias: str,
+                     shift: ag.Tensor | None = None,
+                     scale: ag.Tensor | None = None) -> ag.Tensor:
+        """The linear layer (`w`, `bias`) of the layer norm `ln` of x, modulated."""
+        return ag.matmul(ag.layer_norm(x), *self._norm_fold(ln, w, bias, shift, scale))
+
+    def _gate_fold(self, w: str, bias: str, gate: ag.Tensor):
+        """The weight, bias and [1, k] gate of (h @ W + b) * gate as one
+        product, h @ (W gate) + b gate, as `ag.matmul` takes them."""
+        return self.store[w], ag.mul(self.store[bias], gate), gate
+
+    def _gated_linear(self, h: ag.Tensor, w: str, bias: str, gate: ag.Tensor) -> ag.Tensor:
+        return ag.matmul(h, *self._gate_fold(w, bias, gate))
 
     def _attend(self, q, k, v, counts=None):
         scale = 1.0 / float(np.sqrt(self.config.head_dim))  # python float: no upcast
@@ -222,10 +229,10 @@ class Backbone:
                 x = ag.add(x, self._gated_linear(self._merge_heads(o, L), f"{b}.xo.w",
                                                  f"{b}.xo.b", gate2))
             # feed-forward
-            h = self._norm_linear(x, f"{b}.ln3", f"{b}.mlp.w1", f"{b}.mlp.b1",
-                                  shift3, scale3)
-            x = ag.add(x, self._gated_linear(h, f"{b}.mlp.w2", f"{b}.mlp.b2", gate3,
-                                             gelu=True))
+            x = ag.add(x, ag.mlp(ag.layer_norm(x),
+                                 *self._norm_fold(f"{b}.ln3", f"{b}.mlp.w1", f"{b}.mlp.b1",
+                                                  shift3, scale3),
+                                 *self._gate_fold(f"{b}.mlp.w2", f"{b}.mlp.b2", gate3)))
         out = self._norm_linear(x, f"{p}.final", f"{p}.out.w", f"{p}.out.b")
         if not np.isfinite(out.data).all():
             raise NumericalFailureError("backbone produced NaN/Inf activations")

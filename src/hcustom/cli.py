@@ -22,8 +22,8 @@ from .eval_metrics import EvalRef, evaluate
 from .flow_match import SamplerConfig
 from .latent_codec import PixelVideo
 from .model import load_checkpoint
-from .pipeline import (ABLATION_AXES, apply_overrides, run_ablation, run_training,
-                       sample_to_pixel)
+from .pipeline import (ABLATION_AXES, apply_overrides, check_seed, run_ablation,
+                       run_training, sample_to_pixel)
 from .prompt_fusion import PromptSpec, Template
 from .rope3d import sequence_positions
 from .synth_data import MIN_SCENE_SIZE, SHAPES, SceneParams, generate_dataset, load_sample
@@ -56,6 +56,7 @@ def _require_positive(*flags):
 
 def cmd_gen_data(args) -> int:
     _require_positive(("--count", args.count), ("--frames", args.frames))
+    check_seed("--seed", args.seed)
     if not 1 <= args.subjects <= len(SHAPES):
         raise ConfigError("--subjects", f"must be in 1..{len(SHAPES)} (descriptors are "
                                         f"distinct shapes), got {args.subjects}")
@@ -102,6 +103,7 @@ def cmd_sample(args) -> int:
     if lam is not None and not (math.isfinite(lam) and lam >= 0):
         raise ConfigError("--lambda-audio", f"must be finite and >= 0, got {lam}")
     _require_positive(("--frames", args.frames), ("--steps", args.steps))
+    check_seed("--seed", args.seed)
     model, codec, stats, step, meta = load_checkpoint(args.ckpt, lambda_a=lam)
     _require_trained_conditions(meta, args)
     subjects = []

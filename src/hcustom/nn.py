@@ -199,6 +199,12 @@ def fit(store: ParamStore, count: int, item_loss, step_rng, *, steps: int,
     never the arithmetic.  It is made here and not at import because only
     training churns: no-grad code frees as it goes, so a process that only
     samples keeps glibc's defaults.
+
+    `fit` returns with no gradient on any parameter, so a process that
+    trains again (a benchmark's warm-up, an ablation's variants) does not
+    hold a model-sized gradient set that nothing reads.  It clears them
+    directly: `store.zero_grad()` runs exactly once per step, at its start,
+    and timers outside the package count those calls as step boundaries.
     """
     if count < 1:
         raise ValueError("dataset is empty")
@@ -231,4 +237,6 @@ def fit(store: ParamStore, count: int, item_loss, step_rng, *, steps: int,
                 page_faults=None if faults is None else _minor_faults() - faults,
                 grad_norm=grad_norm,
                 clipped=grad_norm > clip_norm)
+    for _, p in store.items():      # not zero_grad(), whose calls mark steps
+        p.grad = None
     return losses

@@ -1,10 +1,12 @@
 """End-to-end orchestration: configs, task wiring, training runs, ablations.
 
 A run config is a plain nested dict (JSON on disk).  Training is staged:
-the codec is overfit first on the dataset's pixel videos, latent statistics
-are frozen, every sample is encoded once into its prepared layout, and the
-flow model then trains on those cached latents.  All stage seeds derive
-from the run seed, so identical configs yield byte-identical checkpoints.
+the codec is overfit first on the dataset's pixel videos; then
+`compute_latent_stats` encodes every clip and freezes the latent
+statistics, `model.prepare` encodes every clip again into its prepared
+layout, and the flow model trains on those prepared latents.  All stage
+seeds derive from the run seed, so identical configs yield byte-identical
+checkpoints.
 """
 
 from __future__ import annotations
@@ -68,6 +70,8 @@ _COUNTS = {"codec.spatial_factor": 1, "codec.latent_channels": 1,
 _NULLABLE = {"video_inject.align_hidden"}
 _REALS = {"codec.learning_rate": 0.0, "train.learning_rate": 0.0,
           "train.clip_norm": 0.0, "schedule.s": 0.0, "schedule.m": None}
+# the flow trainer keys its Philox generator on np.uint64(seed)
+MAX_SEED = 2**64 - 1
 
 
 def merge_config(base: dict, override: dict) -> dict:
@@ -121,9 +125,18 @@ def _get(cfg: dict, dotted: str):
     return cfg
 
 
+def check_seed(name: str, value):
+    """Raise ConfigError naming `name` unless `value` is an integer in
+    [0, MAX_SEED] (a bool is not an integer)."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value <= MAX_SEED:
+        raise ConfigError(name, f"must be an integer in [0, 2**64 - 1], got {value!r}")
+
+
 def _check_numbers(cfg: dict):
-    """Raise ConfigError naming the dotted key of a count or real of `cfg`
-    that has the wrong type or lies out of range (bools are not numbers)."""
+    """Raise ConfigError naming the dotted key of the seed, a count or a real
+    of `cfg` that has the wrong type or lies out of range (bools are not
+    numbers)."""
+    check_seed("seed", cfg["seed"])
     for key, least in _COUNTS.items():
         if key.split(".")[0] not in cfg:
             continue

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -573,41 +575,44 @@ def test_scaled_linear_gradients_match_finite_differences(scale_shape, bias):
         check_op(lambda a, w, s: ag.matmul(a, w, scale=s), arrays)
 
 
-@pytest.mark.parametrize("u_shape", [(7, 8), (2, 4, 8)], ids=["2d", "leading-axes"])
-def test_gelu_matmul_gradients_match_finite_differences_over_row_blocks(u_shape):
-    # a row of 8 has 32 working elements, so a tile of 64 takes 2 rows: 7 rows
-    # make blocks of 2, 2, 2, 1 and 8 rows four blocks of 2
+@pytest.mark.parametrize("x_shape", [(7, 3), (2, 4, 3)], ids=["2d", "leading-axes"])
+def test_mlp_gradients_match_finite_differences_over_row_blocks(x_shape):
+    # a hidden row of 8 has 32 working elements, so a tile of 64 takes 2 rows:
+    # 7 rows make blocks of 2, 2, 2, 1 and 8 rows four blocks of 2
     local = np.random.default_rng(23)
-    arrays = [local.normal(size=u_shape), local.normal(size=(8, 3)),
-              local.normal(size=3), local.normal(size=(1, 3))]
-    check_op(lambda u, w, b, s: _with_tile(64, lambda: ag.gelu_matmul(u, w, b, s)), arrays)
-    check_op(lambda u, w: _with_tile(64, lambda: ag.gelu_matmul(u, w)), arrays[:2])
+    arrays = [local.normal(size=x_shape), local.normal(size=(3, 8)), local.normal(size=8),
+              local.normal(size=(3, 1)), local.normal(size=(8, 3)), local.normal(size=3),
+              local.normal(size=(1, 3))]
+    check_op(lambda *ts: _with_tile(64, lambda: ag.mlp(*ts)), arrays)
+    check_op(lambda x, w1, w2: _with_tile(64, lambda: ag.mlp(x, w1, None, None, w2, None, None)),
+             [arrays[0], arrays[1], arrays[4]])
 
 
-@pytest.mark.parametrize("scale_shape", [None, (6, 1), (1, 5)], ids=["plain", "gain", "gate"])
-def test_gelu_matmul_equals_gelu_then_matmul_bitwise(scale_shape, monkeypatch):
-    # the same arithmetic as the two ops it replaces, in float32; 9 rows of
-    # 6 (24 working elements each) over a tile of 48 make five row blocks
+@pytest.mark.parametrize("gain,gate", [(False, False), (True, False), (False, True),
+                                       (True, True)], ids=["plain", "gain", "gate", "gain-gate"])
+def test_mlp_equals_matmul_gelu_matmul_bitwise(gain, gate, monkeypatch):
+    # the same arithmetic as the three ops it replaces, forward and backward,
+    # in float32; 9 rows of a hidden width of 6 (24 working elements each)
+    # over a tile of 48 make five row blocks
     local = np.random.default_rng(24)
-
-    def arrays():
-        out = [local.normal(size=(9, 6)), local.normal(size=(6, 5)), local.normal(size=5)]
-        if scale_shape is not None:
-            out.append(local.normal(size=scale_shape))
-        return [a.astype(np.float32) for a in out]
-
+    shapes = [(9, 4), (4, 6), (6,), (4, 1), (6, 5), (5,), (1, 5)]
+    data = [local.normal(size=shape).astype(np.float32) for shape in shapes]
+    if not gain:
+        data[3] = None
+    if not gate:
+        data[6] = None
     monkeypatch.setattr(ag, "_TILE", 48)
-    data = arrays()
     g = local.normal(size=(9, 5)).astype(np.float32)
     results = []
     for fused in (True, False):
-        ts = [ag.Tensor(a, requires_grad=True) for a in data]
+        ts = [None if a is None else ag.Tensor(a, requires_grad=True) for a in data]
+        x, w1, b1, s1, w2, b2, s2 = ts
         if fused:
-            out = ag.gelu_matmul(*ts)
+            out = ag.mlp(*ts)
         else:
-            out = ag.matmul(ag.gelu(ts[0]), *ts[1:])
+            out = ag.matmul(ag.gelu(ag.matmul(x, w1, b1, s1)), w2, b2, s2)
         ag.sum_(ag.mul(out, ag.Tensor(g))).backward()
-        results.append([out.data] + [t.grad for t in ts])
+        results.append([out.data] + [t.grad for t in ts if t is not None])
     for fused, plain in zip(*results):
         assert fused.dtype == np.float32
         np.testing.assert_array_equal(fused, plain)
@@ -687,8 +692,8 @@ def _vjp_cases(dtype=np.float64):
             t(2, 3, 4), t(2, 5, 4), t(2, 5, 4), 0.5, COUNTS)),
         "matmul_bias": lambda: ag.matmul(t(2, 3, 4), t(4, 5), t(5)),
         "matmul_scale": lambda: ag.matmul(t(2, 3, 4), t(4, 5), t(5), t(4, 1)),
-        "gelu_matmul": lambda: _with_tile(32, lambda: ag.gelu_matmul(
-            t(2, 3, 4), t(4, 5), t(5), t(1, 5))),
+        "mlp": lambda: _with_tile(32, lambda: ag.mlp(
+            t(2, 3, 4), t(4, 5), t(5), t(4, 1), t(5, 4), t(4), t(1, 4))),
         "reshape": lambda: ag.reshape(t(3, 4), (2, 6)),
         "transpose": lambda: ag.transpose(t(2, 3, 4), (2, 0, 1)),
         "concat": lambda: ag.concat([t(2, 3), t(2, 2)], axis=1),
@@ -704,11 +709,26 @@ def _vjp_cases(dtype=np.float64):
     }
 
 
+def _public_ops():
+    """The names of the functions `autograd` defines and exports."""
+    return {name for name, fn in vars(ag).items()
+            if callable(fn) and getattr(fn, "__module__", None) == ag.__name__
+            and not name.startswith("_") and not isinstance(fn, type)}
+
+
 def test_vjp_cases_cover_every_autograd_op():
-    ops = {name for name, fn in vars(ag).items()
-           if callable(fn) and getattr(fn, "__module__", None) == ag.__name__
-           and not name.startswith("_") and not isinstance(fn, type)}
-    assert ops <= set(_vjp_cases())
+    assert _public_ops() <= set(_vjp_cases())
+
+
+def test_readme_op_table_names_exactly_the_public_ops():
+    # the first column of the "what each op keeps" table, which ends at the
+    # first blank line
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| op | keeps |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    named = [name for row in table.splitlines()
+             for name in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert len(named) == len(set(named))
+    assert set(named) == _public_ops()
 
 
 @pytest.mark.parametrize("name", sorted(_vjp_cases()))

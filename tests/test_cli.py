@@ -50,7 +50,8 @@ def test_gen_data_wrote_manifest(workspace):
 
 @pytest.mark.parametrize("flag,value", [
     ("--subjects", "0"), ("--subjects", "5"), ("--size", "8"), ("--size", "0"),
-    ("--frames", "0"), ("--frames", "-3"), ("--count", "0"), ("--count", "-1")])
+    ("--frames", "0"), ("--frames", "-3"), ("--count", "0"), ("--count", "-1"),
+    ("--seed", "-1"), ("--seed", "18446744073709551616")])
 def test_gen_data_rejects_a_count_out_of_range(tmp_path, capsys, flag, value):
     args = ["gen-data", "--count", "2", "--out", str(tmp_path / "data"), flag, value]
     assert main(args) == 2
@@ -115,6 +116,8 @@ def test_train_and_sample_cli(workspace, capsys):
     "train.batch_size=0", "sample.steps=2.5", "train.checkpoint_every=-1",
     "codec.learning_rate=0", "train.learning_rate=NaN", "train.clip_norm=null",
     "schedule.s=-1", "schedule.m=Infinity",
+    # the run seed: an integer in [0, 2**64 - 1], and a bool is none
+    "seed=-1", "seed=1.5", "seed=abc", "seed=2e30", "seed=18446744073709551616", "seed=true",
     # the model's and the codec's sizes
     "model.heads=abc", "model.width=-16", "model.blocks=0", "model.text_width=0",
     "model.mlp_ratio=0", "codec.spatial_factor=abc", "codec.latent_channels=0",
@@ -185,6 +188,10 @@ def test_config_entry_of_the_wrong_kind_is_rejected(config, key):
     assert exc.value.field == key
 
 
+def test_the_largest_seed_is_a_valid_run_seed():
+    assert validate_config({"seed": 2**64 - 1})["seed"] == 2**64 - 1
+
+
 def test_checked_in_configs_pass_the_strict_schema():
     from conftest import ABLATION_CFG, OVERFIT_CFG
     root = pathlib.Path(__file__).resolve().parents[1]
@@ -207,7 +214,8 @@ def test_sample_rejects_negative_lambda_before_loading(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag,value", [("--frames", "0"), ("--frames", "-7"),
-                                        ("--steps", "0")])
+                                        ("--steps", "0"), ("--seed", "-1"),
+                                        ("--seed", "18446744073709551616")])
 def test_sample_rejects_a_non_positive_count_before_loading(tmp_path, capsys, flag, value):
     rc = main(["sample", "--ckpt", str(tmp_path / "missing.hc"), "--prompt", "x",
                flag, value, "--out", str(tmp_path / "out.hc")])
@@ -467,6 +475,31 @@ def test_sample_reports_a_checkpoint_that_does_not_fit_its_model(sample_checkpoi
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith(f"error: {bad}: ") and entry in err, err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.hc").exists()
+
+
+def _header_only(blob):
+    return blob[:16 + int.from_bytes(blob[8:16], "little")]
+
+
+@pytest.mark.parametrize("cut,message", [
+    (lambda blob: blob[:-100], "truncated array '"),
+    (lambda blob: b"", "bad magic"),
+    (_header_only, "truncated array '"),
+], ids=["truncated", "empty", "header-only"])
+def test_sample_reports_a_corrupt_checkpoint_file(sample_checkpoint, tmp_path, capsys, cut,
+                                                  message):
+    ckpt, img_path, sample = sample_checkpoint
+    bad = tmp_path / "bad.hc"
+    bad.write_bytes(cut(ckpt.read_bytes()))
+    capsys.readouterr()
+    rc = main(["sample", "--ckpt", str(bad), "--prompt", sample.caption,
+               "--subject", f"name={sample.descriptors[0]},image={img_path}",
+               "--frames", "5", "--steps", "2", "--out", str(tmp_path / "out.hc")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: {bad}: ") and message in err, err
     assert "Traceback" not in err
     assert not (tmp_path / "out.hc").exists()
 

@@ -1,9 +1,11 @@
 """The array container: round trip, and typed errors for damaged files."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hcustom.container import MAGIC, ContainerError, load_container, save_container
 from hcustom.errors import HCustomError
@@ -156,3 +158,60 @@ def test_saved_entries_lie_back_to_back_in_header_order(tmp_path):
     assert [e["name"] for e in entries] == ["b", "a", "e"]
     assert [e["offset"] for e in entries] == [0, 24, 40]
     assert len(raw) - 16 - hlen == 40
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: damaged copies of one small container, with the kinds of arrays and
+# meta a checkpoint has
+
+
+@pytest.fixture(scope="module")
+def sound_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "c.hc"
+    arrays = {"w": np.arange(12, dtype=np.float32).reshape(3, 4),
+              "step": np.array([7], dtype=np.int64), "mask": np.ones((2, 3), np.uint8),
+              "empty": np.zeros((0, 2))}
+    save_container(path, arrays, meta={"config": {"width": 4, "name": "x"}, "step": 7})
+    return path, path.read_bytes()
+
+
+def _load_or_refuse(path, size):
+    """Whether `path` loads; it may instead raise ContainerError, and any
+    other exception fails the test.  The reader holds at most the file's
+    bytes, the arrays built from them and one array's raw slice at once, so
+    its traced peak stays within three times the file's size plus the few
+    KiB of the file object and the parsed header."""
+    tracemalloc.start()
+    try:
+        load_container(path)
+        loaded = True
+    except ContainerError:
+        loaded = False
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak <= 3 * size + 16384, f"peak {peak} bytes for a {size}-byte file"
+    return loaded
+
+
+def test_every_truncation_raises_a_container_error(sound_file, tmp_path):
+    path, blob = sound_file
+    cut = tmp_path / "cut.hc"
+    for length in range(len(blob)):
+        cut.write_bytes(blob[:length])
+        assert not _load_or_refuse(cut, length), length
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_changed_header_bytes_load_or_raise_a_container_error(sound_file, data):
+    path, blob = sound_file
+    header_end = 16 + int.from_bytes(blob[8:16], "little")
+    damaged = bytearray(blob)
+    for _ in range(data.draw(st.integers(1, 3), label="changes")):
+        at = data.draw(st.integers(0, header_end - 1), label="offset")
+        damaged[at] = data.draw(st.integers(0, 255).filter(lambda b: b != damaged[at]),
+                                label="byte")
+    bad = path.with_name("damaged.hc")
+    bad.write_bytes(bytes(damaged))
+    _load_or_refuse(bad, len(damaged))

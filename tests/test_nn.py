@@ -37,7 +37,10 @@ def test_fit_draws_distinct_items_per_step_and_zeroes_gradients_once(batch_size,
     store.zero_grad = marked_zero_grad
     losses = fit(store, 4, _quadratic(store, calls), np.random.default_rng, steps=3,
                  batch_size=batch_size, learning_rate=0.1, clip_norm=math.inf)
+    # zero_grad runs once per step, and fit releases the last step's
+    # gradients without another call
     assert zeroed == [0, drawn, 2 * drawn]
+    assert [p.grad for _, p in store.items()] == [None]
     for step in range(3):
         expect = np.random.default_rng(step).choice(4, size=drawn, replace=False)
         assert calls[step * drawn:(step + 1) * drawn] == expect.tolist()

@@ -28,17 +28,17 @@ from hcustom.pipeline import (codec_config_from, compute_latent_stats, model_con
 from hcustom.synth_data import SceneParams, generate_sample, identity_pool
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "single_subject.json"
-# [L, width]-sized arrays a backbone block may keep: today about 13.8 (the
-# 4x-wide MLP pre-activation, 4; the three layer-norm outputs, which are
-# also the inputs of the folded linear layers; the rotated q and k, the
-# self-attention v and the cross-attention q; the two attention outputs,
-# which are also their merged heads; and row statistics).  One
-# [heads, L, S] score buffer per attention call would add
+# [L, width]-sized arrays a backbone block may keep: today about 9.8 (the
+# three layer-norm outputs, which are also the inputs of the folded linear
+# layers and of the feed-forward; the rotated q and k, the self-attention v
+# and the cross-attention q; the two attention outputs, which are also their
+# merged heads; and row statistics).  The 4x-wide MLP pre-activation would
+# add 4, and one [heads, L, S] score buffer per attention call
 # 2 * heads * S / width, about 37 more per block.
-PER_BLOCK_ACTIVATIONS = 15
+PER_BLOCK_ACTIVATIONS = 11
 # tracemalloc peak of one flow_loss_t forward and its backward at that
-# shape: the tape plus what backward allocates (about 20.6 MiB today)
-STEP_PEAK_MIB = 23
+# shape: the tape plus what backward allocates (about 16.9 MiB today)
+STEP_PEAK_MIB = 19
 
 
 def _base(a):
@@ -112,14 +112,14 @@ def flow_train_tape(flow_train_step):
     the key counts each call was given (None for self-attention), the
     backbone config, the parameter store, and weak references to arrays the
     forward made: the residual stream (the layer-norm inputs), the `qkv`
-    products, the MLP pre-activations (`gelu_matmul` inputs) and the GELU
-    outputs it computes from them, and each attention output with its
-    merged heads."""
+    products, the feed-forward inputs (`mlp`'s, the layer-norm outputs), the
+    MLP pre-activations and the GELU outputs `mlp` computes from them, and
+    each attention output with its merged heads."""
     step = flow_train_step
     bb = step.model.config.backbone
     calls, counts = [], []
-    refs = SimpleNamespace(residual=[], qkv=[], mlp=[], gelu=[], merged=[])
-    attention, gelu_matmul, gelu_into = ag.attention, ag.gelu_matmul, ag._gelu_into
+    refs = SimpleNamespace(residual=[], qkv=[], mlp=[], pre=[], gelu=[], merged=[])
+    attention, mlp, gelu_into = ag.attention, ag.mlp, ag._gelu_into
     layer_norm, matmul, merge_heads = ag.layer_norm, ag.matmul, Backbone._merge_heads
 
     def recorded(q, k, v, scale, key_counts=None):
@@ -137,12 +137,13 @@ def flow_train_tape(flow_train_step):
             refs.qkv.append(weakref.ref(_base(out.data)))
         return out
 
-    def watched_gelu_matmul(u, *args):
-        refs.mlp.append(weakref.ref(_base(u.data)))
-        return gelu_matmul(u, *args)
+    def watched_mlp(x, *args):
+        refs.mlp.append(weakref.ref(_base(x.data)))
+        return mlp(x, *args)
 
     def watched_gelu_into(x, y, slope):
         if y.shape[-1] == bb.mlp_ratio * bb.width:
+            refs.pre.append(weakref.ref(_base(x)))
             refs.gelu.append(weakref.ref(_base(y)))
         return gelu_into(x, y, slope)
 
@@ -151,13 +152,13 @@ def flow_train_tape(flow_train_step):
         refs.merged.append((weakref.ref(_base(x.data)), weakref.ref(_base(out.data))))
         return out
 
-    ag.attention, ag.gelu_matmul, ag._gelu_into = recorded, watched_gelu_matmul, watched_gelu_into
+    ag.attention, ag.mlp, ag._gelu_into = recorded, watched_mlp, watched_gelu_into
     ag.layer_norm, ag.matmul = watched_layer_norm, watched_matmul
     Backbone._merge_heads = watched_merge_heads
     try:
         loss = flow_loss_t(step.model, step.ps, 0.5, step.z0)
     finally:
-        ag.attention, ag.gelu_matmul, ag._gelu_into = attention, gelu_matmul, gelu_into
+        ag.attention, ag.mlp, ag._gelu_into = attention, mlp, gelu_into
         ag.layer_norm, ag.matmul = layer_norm, matmul
         Backbone._merge_heads = merge_heads
     return SimpleNamespace(loss=loss, calls=calls, counts=counts, bb=bb,
@@ -181,22 +182,27 @@ def test_no_vjp_holds_a_tensor(flow_train_tape):
     assert not tensors, [t.shape for t in tensors]
 
 
-def test_only_the_mlp_pre_activation_outlives_the_forward(flow_train_tape):
+def test_no_mlp_wide_array_outlives_the_forward(flow_train_tape):
     # no VJP reads the residual stream (an add keeps shapes, a layer norm its
     # output), the qkv product (q and k are rotated into new arrays and
-    # attention holds its own copy of v) or a GELU output (gelu_matmul
-    # rebuilds it from its input in backward); the pre-activation is the one
-    # MLP-wide array the tape keeps
+    # attention holds its own copy of v), an MLP pre-activation or a GELU
+    # output (`mlp` rebuilds both from its input in backward); the
+    # feed-forward's input is the third layer norm's output, which that
+    # norm's VJP keeps anyway
     tape, refs = flow_train_tape, flow_train_tape.refs
     blocks = tape.bb.blocks
     assert len(refs.residual) == 3 * blocks + 1
     assert len(refs.qkv) == len(refs.mlp) == blocks
     assert len(refs.gelu) > blocks          # row blocks: more than one per call
-    for dead in (refs.residual, refs.qkv, refs.gelu):
+    assert len(refs.pre) == len(refs.gelu)
+    for dead in (refs.residual, refs.qkv, refs.pre, refs.gelu):
         assert [r() for r in dead] == [None] * len(dead)
     kept = kept_arrays(tape.loss, tape.store)
-    mlp_wide = {k for k, a in kept.items() if a.shape[-1] == tape.bb.mlp_ratio * tape.bb.width}
-    assert mlp_wide == {id(r()) for r in refs.mlp}
+    assert {id(r()) for r in refs.mlp} <= set(kept)
+    # of the MLP's width only the first layer's folded bias, one row, is kept,
+    # to rebuild the pre-activation
+    wide = tape.bb.mlp_ratio * tape.bb.width
+    assert [a.shape for a in kept.values() if a.shape[-1] == wide] == [(1, wide)] * blocks
 
 
 def test_attention_output_and_its_merged_heads_share_one_buffer(flow_train_tape):
